@@ -30,11 +30,7 @@ fn main() {
     let n = cube.num_nodes_();
     let (d, bytes) = (8, 4096);
     let com = workloads::random_dregular(n, d, bytes, 7);
-    let reps = std::env::var("REPRO_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(25);
+    let reps = repro_bench::sample_count_or(25);
 
     // A generous budget: the cold loop inserts `reps` distinct keys per
     // scheduler and evictions would perturb the miss path being timed.

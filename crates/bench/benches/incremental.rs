@@ -115,11 +115,7 @@ fn main() {
     let (d, bytes) = (48, 4096);
     let seed = 7u64;
     let base = workloads::random_dregular(n, d, bytes, seed);
-    let reps = std::env::var("REPRO_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(10);
+    let reps = repro_bench::sample_count_or(10);
 
     // The drifted variants and their deltas, generated up front: in a
     // drifting loop the delta is the *input* (clients ship it in

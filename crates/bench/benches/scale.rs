@@ -30,7 +30,7 @@ use commsched::registry;
 use criterion::black_box;
 use hypercube::{Hypercube, NodeId, Topology};
 use repro_bench::{time_case, write_bench_json};
-use simnet::{ExecMode, LoadModel, PortModel, TransferSpec};
+use simnet::{ExecMode, LinkCostModel, LoadModel, PortModel, TransferSpec};
 
 /// Analytic sweep: d=6 (the paper) through d=20 (a million nodes).
 const ANALYTIC_DIMS: [u32; 8] = [6, 8, 10, 12, 14, 16, 18, 20];
@@ -167,7 +167,14 @@ fn main() {
             };
             let case = time_case(format!("{label}/d{dim}"), reps, || {
                 backend
-                    .estimate(&params, &cube, &com, &schedule, scheme)
+                    .estimate(
+                        &params,
+                        &LinkCostModel::Uniform,
+                        &cube,
+                        &com,
+                        &schedule,
+                        scheme,
+                    )
                     .unwrap_or_else(|e| panic!("{label} d={dim}: {e}"));
             });
             println!("  {label}/d{dim}: {:>9.3} ms/run", case.mean_ns / 1e6);

@@ -22,7 +22,7 @@ use commrt::{LinkCostModel, Scheme};
 use commsched::registry;
 use repro_bench::{backend_from_env, sample_count_or, write_bench_json};
 use simnet::{MachineParams, SimError};
-use topo::TopologyKind;
+use topo::TopologySpec;
 use workloads::{Generator, SampleSet};
 
 /// The two contrasted fabrics: same node count, opposite fault
@@ -50,7 +50,7 @@ fn main() {
     let mut total_ok = 0usize;
 
     for (ti, spec) in FABRICS.iter().enumerate() {
-        let kind = TopologyKind::parse(spec).expect("pinned kind string");
+        let kind = TopologySpec::parse(spec).expect("pinned kind string");
         assert_eq!(
             kind.num_nodes(),
             NODES,
@@ -101,7 +101,7 @@ fn main() {
                 let mut done_ms: Vec<f64> = Vec::new();
                 for k in 0..samples {
                     total_runs += 1;
-                    match backend.estimate_costed(
+                    match backend.estimate(
                         &params,
                         &model,
                         topo.as_ref(),

@@ -15,7 +15,7 @@ use commrt::grid::{CellId, ExperimentGrid, WorkloadPoint};
 use commrt::write_csv;
 use commsched::registry;
 use repro_bench::{backend_from_env, cache_config_from_env, sample_count_or, write_bench_json};
-use topo::TopologyKind;
+use topo::TopologySpec;
 use workloads::Generator;
 
 /// The compared fabrics — all 16 nodes, so one matrix family serves all.
@@ -34,7 +34,7 @@ fn main() {
         grid = grid.with_cache(config);
     }
     for spec in KINDS {
-        let kind = TopologyKind::parse(spec).expect("pinned kind string");
+        let kind = TopologySpec::parse(spec).expect("pinned kind string");
         assert_eq!(
             kind.num_nodes(),
             NODES,

@@ -465,40 +465,21 @@ fn connect(opts: &[String]) -> Result<Client, String> {
 /// Build one request from the shared submit/bench flags.
 fn request_from(opts: &[String]) -> Result<SubmitRequest, String> {
     if let Some(spec) = opt_value(opts, "--topo")? {
-        let kind = topo::TopologyKind::parse(spec).map_err(|e| format!("--topo: {e}"))?;
-        let topology = match &kind {
-            topo::TopologyKind::Cube { dims } => TopologySpec::Hypercube { dims: *dims },
-            topo::TopologyKind::Mesh { rows, cols } => TopologySpec::Mesh2d {
-                rows: *rows,
-                cols: *cols,
-            },
-            topo::TopologyKind::Torus { extents } => TopologySpec::Torus {
-                extents: extents.clone(),
-            },
-            topo::TopologyKind::FatTree { k } => TopologySpec::FatTree { k: *k },
-        };
-        return request_on(opts, topology, kind.num_nodes());
+        let topology = TopologySpec::parse(spec).map_err(|e| format!("--topo: {e}"))?;
+        return request_on(opts, topology);
     }
     let n: usize = opt_parsed(opts, "--n", 16)?;
     if !n.is_power_of_two() {
         return Err(format!("--n {n} is not a power of two (hypercube size)"));
     }
-    request_with_n(opts, n)
+    let dims = n.trailing_zeros();
+    request_on(opts, TopologySpec::Hypercube { dims })
 }
 
-/// [`request_from`] with the machine size fixed by the caller (the
-/// `--dims` sweep overrides `--n` per dimension).
-fn request_with_n(opts: &[String], n: usize) -> Result<SubmitRequest, String> {
-    request_on(
-        opts,
-        TopologySpec::Hypercube {
-            dims: n.trailing_zeros(),
-        },
-        n,
-    )
-}
-
-fn request_on(opts: &[String], topology: TopologySpec, n: usize) -> Result<SubmitRequest, String> {
+/// One request on `topology` from the shared submit/bench flags.
+fn request_on(opts: &[String], topology: TopologySpec) -> Result<SubmitRequest, String> {
+    topology.check().map_err(|e| e.detail)?;
+    let n = topology.num_nodes();
     let d: usize = opt_parsed(opts, "--d", 4.min(n - 1))?;
     let bytes: u32 = opt_parsed(opts, "--bytes", 1024)?;
     let seed: u64 = opt_parsed(opts, "--seed", 0)?;
@@ -654,7 +635,7 @@ fn bench_dims(opts: &[String], spec: &str, requests: usize) -> Result<ExitCode, 
     let mut cases = Vec::new();
     println!("daemon sweep: dims {lo}..{hi}, {requests} request(s) each");
     for dim in lo..=hi {
-        let req = request_with_n(opts, 1usize << dim)?;
+        let req = request_on(opts, TopologySpec::Hypercube { dims: dim })?;
         let mut latencies_ns: Vec<u64> = Vec::with_capacity(requests);
         let t0 = Instant::now();
         for _ in 0..requests {

@@ -26,7 +26,7 @@
 //! point of a differential harness is to watch the gap, not only to gate
 //! on it.
 
-use commrt::{AnalyticBackend, BackendReport, DesBackend, Scheme, SimBackend};
+use commrt::{AnalyticBackend, BackendReport, DesBackend, LinkCostModel, Scheme, SimBackend};
 use commsched::{registry, CommMatrix, Scheduler, SchedulerKind};
 use hypercube::Hypercube;
 use workloads::Generator;
@@ -225,10 +225,24 @@ fn differential(
     let scheme = Scheme::for_scheduler(entry);
     let schedule = entry.schedule(com, cube, seed);
     let des = DesBackend::default()
-        .estimate(&params, cube, com, &schedule, scheme)
+        .estimate(
+            &params,
+            &LinkCostModel::Uniform,
+            cube,
+            com,
+            &schedule,
+            scheme,
+        )
         .unwrap_or_else(|e| panic!("{} DES failed: {e}", entry.name()));
     let ana = AnalyticBackend::default()
-        .estimate(&params, cube, com, &schedule, scheme)
+        .estimate(
+            &params,
+            &LinkCostModel::Uniform,
+            cube,
+            com,
+            &schedule,
+            scheme,
+        )
         .unwrap_or_else(|e| panic!("{} analytic failed: {e}", entry.name()));
     (des, ana, scheme)
 }

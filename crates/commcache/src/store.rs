@@ -44,7 +44,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use commsched::{PartialPermutation, Schedule, ScheduleKind, SchedulerKind};
+use commsched::{fnv1a64, PartialPermutation, Schedule, ScheduleKind, SchedulerKind};
 use hypercube::{NodeId, Topology};
 
 use crate::Fingerprint;
@@ -149,16 +149,6 @@ impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
     }
-}
-
-/// FNV-1a 64-bit over the payload — corruption detection, not security.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn kind_code(kind: ScheduleKind) -> u8 {

@@ -137,7 +137,7 @@ fn golden_fingerprints_per_topology_kind() {
         ("fattree:k=4", "06264410a45349579b2a2cd2fb018ef4"),
     ];
     for (spec, hex) in golden {
-        let kind: topo::TopologyKind = spec.parse().unwrap();
+        let kind: topo::TopologySpec = spec.parse().unwrap();
         let t = kind.build();
         let fp = Fingerprint::compute(&com, t.as_ref(), "RS_NL", 7);
         assert_eq!(

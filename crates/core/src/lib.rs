@@ -79,3 +79,23 @@ pub use registry::Scheduler;
 pub use schedule::{Schedule, ScheduleKind, SchedulerKind};
 pub use stats::ScheduleQuality;
 pub use validate::{validate_schedule, ValidationError};
+
+/// FNV-1a, 64-bit: the workspace's one stable, dependency-free byte
+/// hash. It checksums cache artifacts and daemon frames (corruption
+/// detection, not security) and seeds the default ordinal of ad-hoc
+/// registry entries.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(super::fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

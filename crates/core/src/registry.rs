@@ -435,7 +435,7 @@ impl AdHoc {
             family,
             link_cf: canonical.link_contention_free(),
             node_cf: canonical.node_contention_free(),
-            ordinal: fnv1a(&name),
+            ordinal: name_ordinal(&name),
             name,
             f: Box::new(f),
         }
@@ -489,16 +489,12 @@ impl Scheduler for AdHoc {
     }
 }
 
-/// FNV-1a over the name bytes, folded to 32 bits: a stable,
-/// dependency-free default ordinal for ad-hoc entries. Kept small so
-/// downstream seed mixes (`base * 1_000_003`-style) stay well inside
-/// `u64` headroom.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
+/// [`crate::fnv1a64`] over the name bytes, folded to 32 bits: a
+/// stable, dependency-free default ordinal for ad-hoc entries. Kept
+/// small so downstream seed mixes (`base * 1_000_003`-style) stay well
+/// inside `u64` headroom.
+fn name_ordinal(name: &str) -> u64 {
+    let h = crate::fnv1a64(name.as_bytes());
     (h >> 32) ^ (h & 0xffff_ffff)
 }
 

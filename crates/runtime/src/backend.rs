@@ -8,7 +8,7 @@
 //!
 //! * [`DesBackend`] — the exact oracle: compiles the schedule to per-node
 //!   programs ([`crate::compile`]) and replays them on the discrete-event
-//!   engine ([`simnet::simulate_traced`]), extracting phase boundaries
+//!   engine ([`simnet::simulate_with`]), extracting phase boundaries
 //!   from the execution trace.
 //! * [`AnalyticBackend`] — a contention-aware LogP/LogGP-style model
 //!   built on [`simnet::LoadModel`]: no programs, no events — phase
@@ -106,37 +106,20 @@ pub trait SimBackend: Send + Sync {
     /// selection.
     fn name(&self) -> &'static str;
 
-    /// Estimate executing `schedule` for `com` on `topo` under `scheme`.
+    /// Estimate executing `schedule` for `com` on `topo` under `scheme`,
+    /// with every transfer priced by `cost`: per-link latency/bandwidth
+    /// costs ride on each price, and routes crossing a down link detour
+    /// or fail with [`SimError::LinkDown`]. `LinkCostModel::Uniform` is
+    /// the paper's machine.
     ///
     /// # Errors
     ///
     /// [`SimError::BadParams`] for invalid parameters or size mismatches;
-    /// [`SimError::ProgramError`] for malformed schedules; the DES
-    /// backend additionally propagates anything [`simnet::simulate`] can
-    /// report (deadlock, event-budget exhaustion).
+    /// [`SimError::ProgramError`] for malformed schedules;
+    /// [`SimError::LinkDown`] for stranded transfers; the DES backend
+    /// additionally propagates anything [`simnet::simulate`] can report
+    /// (deadlock, event-budget exhaustion).
     fn estimate(
-        &self,
-        params: &MachineParams,
-        topo: &dyn Topology,
-        com: &CommMatrix,
-        schedule: &Schedule,
-        scheme: Scheme,
-    ) -> Result<BackendReport, SimError>;
-
-    /// [`SimBackend::estimate`] under a [`LinkCostModel`]: per-link
-    /// latency/bandwidth costs ride on every transfer price, and routes
-    /// crossing a down link detour or fail with [`SimError::LinkDown`].
-    ///
-    /// `LinkCostModel::Uniform` must be byte-identical to `estimate` —
-    /// the default implementation guarantees that by delegating, and
-    /// rejects every other model so third-party backends that never
-    /// learned about link costs cannot silently misprice them.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`SimBackend::estimate`] reports, plus
-    /// [`SimError::LinkDown`] for stranded transfers.
-    fn estimate_costed(
         &self,
         params: &MachineParams,
         cost: &LinkCostModel,
@@ -144,15 +127,7 @@ pub trait SimBackend: Send + Sync {
         com: &CommMatrix,
         schedule: &Schedule,
         scheme: Scheme,
-    ) -> Result<BackendReport, SimError> {
-        if cost.is_uniform() {
-            return self.estimate(params, topo, com, schedule, scheme);
-        }
-        Err(SimError::BadParams(format!(
-            "backend {:?} does not support link-cost model {cost}",
-            self.name()
-        )))
-    }
+    ) -> Result<BackendReport, SimError>;
 }
 
 /// Shared input validation: the schedule must belong to the matrix and
@@ -222,8 +197,8 @@ pub struct DesBackend {
 }
 
 impl DesBackend {
-    /// Backend running the engine under `exec` — used by the scale bench
-    /// and by [`SimMode::from_env`]-driven selection.
+    /// Backend running the engine under `exec` — the parallel mode's
+    /// only entry point (the scale bench uses it).
     pub fn with_exec(exec: ExecMode) -> Self {
         DesBackend { exec }
     }
@@ -237,17 +212,6 @@ impl SimBackend for DesBackend {
     fn estimate(
         &self,
         params: &MachineParams,
-        topo: &dyn Topology,
-        com: &CommMatrix,
-        schedule: &Schedule,
-        scheme: Scheme,
-    ) -> Result<BackendReport, SimError> {
-        self.estimate_costed(params, &LinkCostModel::Uniform, topo, com, schedule, scheme)
-    }
-
-    fn estimate_costed(
-        &self,
-        params: &MachineParams,
         cost: &LinkCostModel,
         topo: &dyn Topology,
         com: &CommMatrix,
@@ -256,8 +220,7 @@ impl SimBackend for DesBackend {
     ) -> Result<BackendReport, SimError> {
         check_shapes(topo, com, schedule)?;
         let programs = compile(com, schedule, scheme);
-        let (report, trace) =
-            simnet::simulate_traced_costed_with(topo, params, cost, programs, self.exec)?;
+        let (report, trace) = simnet::simulate_with(topo, params, cost, programs, self.exec, true)?;
         let phases = schedule.num_phases().max(1);
         let mut phase_end_ns = vec![0u64; phases];
         // Requested/Started per (src, dst, tag): blocked-start detection.
@@ -353,12 +316,6 @@ pub struct AnalyticBackend {
 }
 
 impl AnalyticBackend {
-    /// Backend pricing pools under `pool` — used by the scale bench and
-    /// by [`SimMode::from_env`]-driven selection.
-    pub fn with_pool(pool: PoolMode) -> Self {
-        AnalyticBackend { pool }
-    }
-
     /// Reject self-pairs a hand-assembled schedule could smuggle past the
     /// matrix (which forbids diagonal entries).
     fn check_phases(schedule: &Schedule) -> Result<(), SimError> {
@@ -638,28 +595,10 @@ impl AnalyticBackend {
 impl AnalyticBackend {
     /// [`SimBackend::estimate`] for any (possibly unsized) topology type —
     /// the generic entry point the experiment runner's hot path uses; the
-    /// trait method delegates here.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimBackend::estimate`].
-    pub fn estimate_on<T: Topology + ?Sized>(
-        &self,
-        params: &MachineParams,
-        topo: &T,
-        com: &CommMatrix,
-        schedule: &Schedule,
-        scheme: Scheme,
-    ) -> Result<BackendReport, SimError> {
-        self.estimate_on_costed(params, &LinkCostModel::Uniform, topo, com, schedule, scheme)
-    }
-
-    /// [`AnalyticBackend::estimate_on`] under a [`LinkCostModel`]: the
-    /// analytic model prices every pool occupancy per-link, routing
-    /// around dead links where the topology offers a detour.
-    ///
-    /// The `uniform` model takes the exact legacy arithmetic path, so
-    /// its estimates are byte-identical to [`AnalyticBackend::estimate_on`].
+    /// trait method delegates here. The analytic model prices every pool
+    /// occupancy per-link, routing around dead links where the topology
+    /// offers a detour; the `uniform` model takes the exact legacy
+    /// arithmetic path.
     ///
     /// # Errors
     ///
@@ -707,17 +646,6 @@ impl SimBackend for AnalyticBackend {
     fn estimate(
         &self,
         params: &MachineParams,
-        topo: &dyn Topology,
-        com: &CommMatrix,
-        schedule: &Schedule,
-        scheme: Scheme,
-    ) -> Result<BackendReport, SimError> {
-        self.estimate_on(params, topo, com, schedule, scheme)
-    }
-
-    fn estimate_costed(
-        &self,
-        params: &MachineParams,
         cost: &LinkCostModel,
         topo: &dyn Topology,
         com: &CommMatrix,
@@ -738,85 +666,6 @@ static DES: DesBackend = DesBackend {
 static ANALYTIC: AnalyticBackend = AnalyticBackend {
     pool: PoolMode::Auto,
 };
-
-/// Engine tuning knobs orthogonal to [`BackendKind`]: how the analytic
-/// model lays out its pools and how the event engine executes. Parsed
-/// from the `IPSC_SIM_MODE` environment variable and applied via
-/// [`SimMode::des`] / [`SimMode::analytic`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimMode {
-    /// Analytic pool layout (`auto` / `dense` / `sparse`).
-    pub pool: PoolMode,
-    /// Event-engine execution (`seq` / `parallel` / `parallel:<n>`).
-    pub exec: ExecMode,
-}
-
-impl SimMode {
-    /// Parse a comma-separated mode list: any of `auto`, `dense`,
-    /// `sparse` (pool layout) and `seq`, `parallel`, `parallel:<n>`
-    /// (engine execution). Later tokens win within each axis.
-    /// Case-sensitive, by design — env typos should fail loudly.
-    ///
-    /// `parallel` without a thread count uses the `IPSC_THREADS`
-    /// convention (falling back to the host's available parallelism).
-    ///
-    /// # Errors
-    ///
-    /// An unrecognized token, echoed back with the accepted set.
-    pub fn parse(s: &str) -> Result<SimMode, String> {
-        let mut mode = SimMode::default();
-        for tok in s.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            match tok {
-                "auto" => mode.pool = PoolMode::Auto,
-                "dense" => mode.pool = PoolMode::Dense,
-                "sparse" => mode.pool = PoolMode::Sparse,
-                "seq" => mode.exec = ExecMode::Sequential,
-                "parallel" => {
-                    mode.exec = ExecMode::Parallel {
-                        threads: crate::experiment::default_threads(),
-                    }
-                }
-                _ => match tok.strip_prefix("parallel:").map(str::parse) {
-                    Some(Ok(threads)) if threads > 0 => mode.exec = ExecMode::Parallel { threads },
-                    _ => {
-                        return Err(format!(
-                            "IPSC_SIM_MODE token {tok:?} is not a mode; use \
-                             \"auto\"/\"dense\"/\"sparse\" and/or \
-                             \"seq\"/\"parallel\"/\"parallel:<n>\""
-                        ))
-                    }
-                },
-            }
-        }
-        Ok(mode)
-    }
-
-    /// Mode from the `IPSC_SIM_MODE` environment variable; unset or
-    /// empty means the defaults (auto pools, sequential engine).
-    ///
-    /// # Errors
-    ///
-    /// An unrecognized or non-UTF-8 value, echoed back.
-    pub fn from_env() -> Result<SimMode, String> {
-        match std::env::var("IPSC_SIM_MODE") {
-            Err(std::env::VarError::NotPresent) => Ok(SimMode::default()),
-            Err(std::env::VarError::NotUnicode(v)) => Err(format!(
-                "IPSC_SIM_MODE={v:?} is not valid UTF-8; use e.g. \"sparse,parallel:8\""
-            )),
-            Ok(v) => SimMode::parse(&v),
-        }
-    }
-
-    /// The event-engine backend under this mode's execution setting.
-    pub fn des(self) -> DesBackend {
-        DesBackend::with_exec(self.exec)
-    }
-
-    /// The analytic backend under this mode's pool layout.
-    pub fn analytic(self) -> AnalyticBackend {
-        AnalyticBackend::with_pool(self.pool)
-    }
-}
 
 /// Which backend prices a measurement. `Copy`-cheap so runners, grid
 /// columns, and records can carry it by value.
@@ -928,7 +777,14 @@ mod tests {
         for kind in BackendKind::all() {
             let err = kind
                 .backend()
-                .estimate(&params, &cube, &com, &schedule, Scheme::S2)
+                .estimate(
+                    &params,
+                    &LinkCostModel::Uniform,
+                    &cube,
+                    &com,
+                    &schedule,
+                    Scheme::S2,
+                )
                 .unwrap_err();
             assert!(matches!(err, SimError::BadParams(_)), "{kind}: {err}");
         }
@@ -938,7 +794,14 @@ mod tests {
         for kind in BackendKind::all() {
             let err = kind
                 .backend()
-                .estimate(&params, &cube, &com8, &foreign, Scheme::S2)
+                .estimate(
+                    &params,
+                    &LinkCostModel::Uniform,
+                    &cube,
+                    &com8,
+                    &foreign,
+                    Scheme::S2,
+                )
                 .unwrap_err();
             assert!(matches!(err, SimError::BadParams(_)), "{kind}: {err}");
         }
@@ -953,7 +816,14 @@ mod tests {
             ..MachineParams::ipsc860()
         };
         let err = AnalyticBackend::default()
-            .estimate(&params, &cube, &com, &ac(&com), Scheme::S2)
+            .estimate(
+                &params,
+                &LinkCostModel::Uniform,
+                &cube,
+                &com,
+                &ac(&com),
+                Scheme::S2,
+            )
             .unwrap_err();
         assert!(matches!(err, SimError::BadParams(_)), "{err}");
     }
@@ -968,7 +838,14 @@ mod tests {
         let hostile =
             Schedule::from_parts(ScheduleKind::Phased, SchedulerKind::RsN, 8, vec![pm], 0, 0);
         let err = AnalyticBackend::default()
-            .estimate(&MachineParams::ipsc860(), &cube, &com, &hostile, Scheme::S2)
+            .estimate(
+                &MachineParams::ipsc860(),
+                &LinkCostModel::Uniform,
+                &cube,
+                &com,
+                &hostile,
+                Scheme::S2,
+            )
             .unwrap_err();
         assert!(
             matches!(err, SimError::ProgramError { node: 2, .. }),
@@ -985,7 +862,14 @@ mod tests {
             for (schedule, scheme) in [(ac(&com), Scheme::S2), (lp(&com), Scheme::S1)] {
                 let r = kind
                     .backend()
-                    .estimate(&params, &cube, &com, &schedule, scheme)
+                    .estimate(
+                        &params,
+                        &LinkCostModel::Uniform,
+                        &cube,
+                        &com,
+                        &schedule,
+                        scheme,
+                    )
                     .unwrap();
                 assert_eq!(r.makespan_ns, 0, "{kind}");
                 assert_eq!(r.contention, ContentionStats::default(), "{kind}");
@@ -1005,10 +889,24 @@ mod tests {
             let schedule = entry.schedule(&com, &cube, 1);
             let scheme = Scheme::for_scheduler(entry);
             let des = DesBackend::default()
-                .estimate(&params, &cube, &com, &schedule, scheme)
+                .estimate(
+                    &params,
+                    &LinkCostModel::Uniform,
+                    &cube,
+                    &com,
+                    &schedule,
+                    scheme,
+                )
                 .unwrap();
             let ana = AnalyticBackend::default()
-                .estimate(&params, &cube, &com, &schedule, scheme)
+                .estimate(
+                    &params,
+                    &LinkCostModel::Uniform,
+                    &cube,
+                    &com,
+                    &schedule,
+                    scheme,
+                )
                 .unwrap();
             assert_eq!(
                 des.makespan_ns,
@@ -1024,7 +922,14 @@ mod tests {
         // And the value itself is the closed form.
         let schedule = ac(&com);
         let r = AnalyticBackend::default()
-            .estimate(&params, &cube, &com, &schedule, Scheme::S2)
+            .estimate(
+                &params,
+                &LinkCostModel::Uniform,
+                &cube,
+                &com,
+                &schedule,
+                Scheme::S2,
+            )
             .unwrap();
         assert_eq!(
             r.makespan_ns,
@@ -1041,7 +946,14 @@ mod tests {
         for kind in BackendKind::all() {
             let r = kind
                 .backend()
-                .estimate(&params, &cube, &com, &schedule, Scheme::S1)
+                .estimate(
+                    &params,
+                    &LinkCostModel::Uniform,
+                    &cube,
+                    &com,
+                    &schedule,
+                    Scheme::S1,
+                )
                 .unwrap();
             assert_eq!(r.phase_end_ns.len(), schedule.num_phases());
             let mut prev = 0;
@@ -1062,7 +974,14 @@ mod tests {
         // Bit-reverse-style collisions: AC over a dense matrix contends.
         let com = workloads::random_dense(8, 4, 8192, 3);
         let contended = AnalyticBackend::default()
-            .estimate(&params, &cube, &com, &ac(&com), Scheme::S2)
+            .estimate(
+                &params,
+                &LinkCostModel::Uniform,
+                &cube,
+                &com,
+                &ac(&com),
+                Scheme::S2,
+            )
             .unwrap();
         assert!(contended.contention.contended_transfers > 0);
         assert!(contended.contention.contended_phases >= 1);
@@ -1070,7 +989,14 @@ mod tests {
         let mut lone = CommMatrix::new(8);
         lone.set(0, 5, 512);
         let free = AnalyticBackend::default()
-            .estimate(&params, &cube, &lone, &ac(&lone), Scheme::S2)
+            .estimate(
+                &params,
+                &LinkCostModel::Uniform,
+                &cube,
+                &lone,
+                &ac(&lone),
+                Scheme::S2,
+            )
             .unwrap();
         assert_eq!(free.contention.contended_transfers, 0);
         assert_eq!(free.contention.contended_phases, 0);
@@ -1086,7 +1012,14 @@ mod tests {
         let schedule = rs_nl(&com, &cube, 4);
         let direct = crate::run_schedule(&cube, &params, &com, &schedule, Scheme::S1).unwrap();
         let via_backend = DesBackend::default()
-            .estimate(&params, &cube, &com, &schedule, Scheme::S1)
+            .estimate(
+                &params,
+                &LinkCostModel::Uniform,
+                &cube,
+                &com,
+                &schedule,
+                Scheme::S1,
+            )
             .unwrap();
         assert_eq!(direct.makespan_ns, via_backend.makespan_ns);
     }

@@ -1,7 +1,7 @@
 use commcache::{CacheConfig, SchedCache};
 use commsched::{CommMatrix, I860CostModel, Schedule, Scheduler};
 use hypercube::Topology;
-use simnet::{LinkCostModel, MachineParams, SimError};
+use simnet::{ExecMode, LinkCostModel, MachineParams, SimError};
 use std::sync::{Arc, Mutex};
 use workloads::SampleSet;
 
@@ -350,11 +350,16 @@ pub(crate) fn measure_sample<T: Topology + ?Sized>(
     let comm_ms = match backend {
         BackendKind::Des => {
             let programs = compile(com, schedule, scheme);
-            if link_costs.is_uniform() {
-                simnet::simulate(topo, params, programs)?.makespan_ms()
-            } else {
-                simnet::simulate_costed(topo, params, link_costs, programs)?.makespan_ms()
-            }
+            simnet::simulate_with(
+                topo,
+                params,
+                link_costs,
+                programs,
+                ExecMode::Sequential,
+                false,
+            )?
+            .0
+            .makespan_ms()
         }
         BackendKind::Analytic => AnalyticBackend::default()
             .estimate_on_costed(params, link_costs, topo, com, schedule, scheme)?

@@ -1125,7 +1125,14 @@ mod tests {
             ))
             .samples(3)
             .with_cache(commcache::CacheConfig::in_memory());
-        let result = grid.execute().unwrap();
+        // One worker: two threads can both miss on the same key before
+        // either inserts, which would count a fourth miss.
+        let result = grid
+            .execute_opts(ExecOptions {
+                threads: Some(1),
+                ..ExecOptions::default()
+            })
+            .unwrap();
         let stats = grid.runner().schedule_cache().unwrap().stats();
         assert_eq!(stats.misses, 3, "3 samples compiled once each");
         assert_eq!(stats.hits(), 3, "second column reused all of them");

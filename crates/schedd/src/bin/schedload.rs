@@ -155,6 +155,9 @@ fn parse_args() -> Result<Opts, String> {
     if !(0.0..=1.0).contains(&opts.perturb) {
         return Err("--perturb must be in 0..1".into());
     }
+    TopologySpec::Hypercube { dims: opts.dims }
+        .check()
+        .map_err(|e| format!("--dims: {}", e.detail))?;
     Ok(opts)
 }
 

@@ -51,9 +51,10 @@ pub use net::{Endpoint, Stream};
 pub use protocol::{
     read_frame, write_frame, DaemonStats, DecodeError, ErrorCode, ErrorReply, FrameError,
     ProtocolLimits, Request, Response, SchemeChoice, SubmitDeltaRequest, SubmitReply,
-    SubmitRequest, TopologySpec,
+    SubmitRequest,
 };
 pub use queue::{BoundedQueue, PushError};
 pub use server::{Server, ServerHandle};
 pub use service::{ServiceConfig, ServiceError, ServiceState};
 pub use simnet::{CostModelError, LinkCostModel};
+pub use topo::TopologySpec;

@@ -29,15 +29,17 @@
 //! serialization ([`commcache::encode_artifact`]): one payload format on
 //! disk and on the wire, one corruption suite hardening both.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use commcache::{Fingerprint, InstanceKey};
 use commrt::{BackendKind, BackendReport, ContentionStats, Scheme};
-use commsched::{CommMatrix, MatrixDelta, Schedule, Scheduler};
-use hypercube::{Hypercube, Mesh2d, NodeId, Topology};
+use commsched::{fnv1a64, CommMatrix, MatrixDelta, Schedule, Scheduler};
+use hypercube::NodeId;
 use simnet::LinkCostModel;
+use topo::TopologySpec;
 
 /// Leading magic of every frame; the trailing `1` is the protocol
 /// version, so a future layout change is a new magic, not an ambiguity.
@@ -125,17 +127,6 @@ const K_SCHEDULE: u8 = 0x81;
 const K_STATS: u8 = 0x82;
 const K_ERROR: u8 = 0x83;
 const K_SHUTDOWN_ACK: u8 = 0x84;
-
-/// FNV-1a 64-bit (the artifact store's checksum, reused at the frame
-/// layer — corruption detection, not security).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Frame I/O
@@ -406,255 +397,92 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 // Request model
 // ---------------------------------------------------------------------------
 
-/// The topology a request schedules on, as named on the wire.
-///
-/// Wire kind bytes: 0 hypercube, 1 mesh, 2 torus, 3 fat-tree. Old peers
-/// reject the new kinds with `topology.kind` — a typed decode error, not
-/// a protocol break.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum TopologySpec {
-    /// `dims`-dimensional hypercube under e-cube routing.
-    Hypercube {
-        /// Cube dimension (1 ≤ dims ≤ [`MAX_DIMS`]).
-        dims: u32,
-    },
-    /// `rows × cols` 2-D mesh under XY routing.
-    Mesh2d {
-        /// Mesh rows (≥ 1).
-        rows: u32,
-        /// Mesh columns (≥ 1).
-        cols: u32,
-    },
-    /// k-ary n-cube torus under dimension-ordered shortest-direction
-    /// routing.
-    Torus {
-        /// Per-dimension ring extents (1–8 dims, each ≥ 2).
-        extents: Vec<u32>,
-    },
-    /// k-ary fat-tree under deterministic up-down routing.
-    FatTree {
-        /// Switch arity (even, 2 ≤ k ≤ 64); hosts = k³/4.
-        k: u32,
-    },
-}
-
-impl TopologySpec {
-    /// Number of nodes the spec describes, saturating at `usize::MAX`.
-    ///
-    /// Hand-built specs are not bounded by [`ProtocolLimits`], so the
-    /// arithmetic here must never overflow: a hostile
-    /// `torus(4294967295x4294967295x…)` saturates instead of panicking,
-    /// and the decode-side comparison against the matrix node count then
-    /// rejects it as a typed mismatch.
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            TopologySpec::Hypercube { dims } => 1usize.checked_shl(*dims).unwrap_or(usize::MAX),
-            TopologySpec::Mesh2d { rows, cols } => (*rows as usize).saturating_mul(*cols as usize),
-            TopologySpec::Torus { extents } => extents
-                .iter()
-                .try_fold(1usize, |acc, &k| acc.checked_mul(k as usize))
-                .unwrap_or(usize::MAX),
-            TopologySpec::FatTree { k } => {
-                let k = *k as usize;
-                k.saturating_mul(k).saturating_mul(k) / 4
-            }
+/// Encode the topology a request schedules on. Wire kind bytes: 0
+/// hypercube, 1 mesh, 2 torus, 3 fat-tree. Old peers reject the newer
+/// kinds with `topology.kind` — a typed decode error, not a protocol
+/// break.
+fn put_topology(out: &mut Vec<u8>, spec: &TopologySpec) {
+    match spec {
+        TopologySpec::Hypercube { dims } => {
+            out.push(0);
+            out.extend_from_slice(&dims.to_le_bytes());
         }
-    }
-
-    /// Materialize the topology, surfacing impossible specs as typed
-    /// errors instead of panicking in the builders.
-    ///
-    /// Specs that came through [`Request::decode`] have already passed
-    /// the [`ProtocolLimits`] bounds and cannot fail here; hand-built
-    /// specs (tests, embedding code) get the same hardening the decoder
-    /// provides.
-    pub fn try_build(&self) -> Result<Box<dyn Topology>, DecodeError> {
-        match self {
-            TopologySpec::Hypercube { dims } => {
-                // Mirror `Hypercube::new`'s own bound so its assert can
-                // never fire on a hand-built spec.
-                if !(1..=20).contains(dims) {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.dims",
-                        value: (*dims).into(),
-                    });
-                }
-                Ok(Box::new(Hypercube::new(*dims)))
-            }
-            TopologySpec::Mesh2d { rows, cols } => {
-                let nodes = u64::from(*rows) * u64::from(*cols);
-                // Mirror `Mesh2d::new`'s bounds: positive extents, node
-                // count within u32.
-                if *rows == 0 || *cols == 0 || nodes > u64::from(u32::MAX) {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.mesh",
-                        value: nodes,
-                    });
-                }
-                Ok(Box::new(Mesh2d::new(*rows as usize, *cols as usize)))
-            }
-            TopologySpec::Torus { extents } => {
-                let extents: Vec<usize> = extents.iter().map(|&k| k as usize).collect();
-                topo::Torus::try_new(&extents)
-                    .map(|t| Box::new(t) as Box<dyn Topology>)
-                    .map_err(|e| DecodeError::Invalid(format!("{self}: {e}")))
-            }
-            TopologySpec::FatTree { k } => topo::FatTree::try_new(*k as usize)
-                .map(|t| Box::new(t) as Box<dyn Topology>)
-                .map_err(|e| DecodeError::Invalid(format!("{self}: {e}"))),
+        TopologySpec::Mesh2d { rows, cols } => {
+            out.push(1);
+            out.extend_from_slice(&rows.to_le_bytes());
+            out.extend_from_slice(&cols.to_le_bytes());
         }
-    }
-
-    /// Materialize the topology.
-    ///
-    /// # Panics
-    ///
-    /// On specs no builder can realize (see [`try_build`](Self::try_build)
-    /// for the fallible form). Decoded specs never panic here.
-    pub fn build(&self) -> Box<dyn Topology> {
-        self.try_build()
-            .unwrap_or_else(|e| panic!("unbuildable topology spec {self}: {e}"))
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            TopologySpec::Hypercube { dims } => {
-                out.push(0);
-                out.extend_from_slice(&dims.to_le_bytes());
-            }
-            TopologySpec::Mesh2d { rows, cols } => {
-                out.push(1);
-                out.extend_from_slice(&rows.to_le_bytes());
-                out.extend_from_slice(&cols.to_le_bytes());
-            }
-            TopologySpec::Torus { extents } => {
-                out.push(2);
-                out.extend_from_slice(&(extents.len() as u32).to_le_bytes());
-                for &k in extents {
-                    out.extend_from_slice(&k.to_le_bytes());
-                }
-            }
-            TopologySpec::FatTree { k } => {
-                out.push(3);
+        TopologySpec::Torus { extents } => {
+            out.push(2);
+            out.extend_from_slice(&(extents.len() as u32).to_le_bytes());
+            for &k in extents {
                 out.extend_from_slice(&k.to_le_bytes());
             }
         }
-    }
-
-    fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<TopologySpec, DecodeError> {
-        match rd.u8()? {
-            0 => {
-                let dims = rd.u32()?;
-                if dims == 0 {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.dims",
-                        value: dims.into(),
-                    });
-                }
-                if dims > limits.max_dims {
-                    return Err(DecodeError::LimitExceeded {
-                        field: "topology.dims",
-                        value: dims.into(),
-                        limit: limits.max_dims.into(),
-                    });
-                }
-                Ok(TopologySpec::Hypercube { dims })
-            }
-            1 => {
-                let rows = rd.u32()?;
-                let cols = rd.u32()?;
-                let nodes = u64::from(rows) * u64::from(cols);
-                if rows == 0 || cols == 0 {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.mesh",
-                        value: nodes,
-                    });
-                }
-                if nodes > limits.max_request_nodes {
-                    return Err(DecodeError::LimitExceeded {
-                        field: "topology.mesh",
-                        value: nodes,
-                        limit: limits.max_request_nodes,
-                    });
-                }
-                Ok(TopologySpec::Mesh2d { rows, cols })
-            }
-            2 => {
-                let ndims = rd.u32()?;
-                // The torus builder caps at 8 dimensions; reject before
-                // allocating anything proportional to the claimed count.
-                if ndims == 0 || ndims > 8 {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.torus.ndims",
-                        value: ndims.into(),
-                    });
-                }
-                let mut extents = Vec::with_capacity(ndims as usize);
-                let mut nodes: u64 = 1;
-                for _ in 0..ndims {
-                    let k = rd.u32()?;
-                    if k < 2 {
-                        return Err(DecodeError::BadValue {
-                            field: "topology.torus.extent",
-                            value: k.into(),
-                        });
-                    }
-                    nodes = nodes.saturating_mul(u64::from(k));
-                    extents.push(k);
-                }
-                if nodes > limits.max_request_nodes {
-                    return Err(DecodeError::LimitExceeded {
-                        field: "topology.torus",
-                        value: nodes,
-                        limit: limits.max_request_nodes,
-                    });
-                }
-                Ok(TopologySpec::Torus { extents })
-            }
-            3 => {
-                let k = rd.u32()?;
-                if !(2..=64).contains(&k) || !k.is_multiple_of(2) {
-                    return Err(DecodeError::BadValue {
-                        field: "topology.fattree.k",
-                        value: k.into(),
-                    });
-                }
-                let hosts = u64::from(k) * u64::from(k) * u64::from(k) / 4;
-                if hosts > limits.max_request_nodes {
-                    return Err(DecodeError::LimitExceeded {
-                        field: "topology.fattree",
-                        value: hosts,
-                        limit: limits.max_request_nodes,
-                    });
-                }
-                Ok(TopologySpec::FatTree { k })
-            }
-            other => Err(DecodeError::BadValue {
-                field: "topology.kind",
-                value: other.into(),
-            }),
+        TopologySpec::FatTree { k } => {
+            out.push(3);
+            out.extend_from_slice(&k.to_le_bytes());
         }
     }
 }
 
-impl fmt::Display for TopologySpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TopologySpec::Hypercube { dims } => write!(f, "hypercube(d={dims})"),
-            TopologySpec::Mesh2d { rows, cols } => write!(f, "mesh({rows}x{cols})"),
-            TopologySpec::Torus { extents } => {
-                write!(f, "torus(")?;
-                for (i, k) in extents.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "x")?;
-                    }
-                    write!(f, "{k}")?;
-                }
-                write!(f, ")")
+/// Decode a topology: the daemon's [`ProtocolLimits`] caps first, then
+/// the family bounds of [`TopologySpec::check`], so a decoded spec
+/// always builds.
+fn take_topology(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<TopologySpec, DecodeError> {
+    let spec = match rd.u8()? {
+        0 => TopologySpec::Hypercube { dims: rd.u32()? },
+        1 => TopologySpec::Mesh2d {
+            rows: rd.u32()?,
+            cols: rd.u32()?,
+        },
+        2 => {
+            // Every extent is at least 2, so more dimensions than the
+            // dimension cap cannot fit the node cap: bound the claimed
+            // count before reading (and allocating) anything for it.
+            let ndims = rd.u32()?;
+            if ndims > limits.max_dims {
+                return Err(DecodeError::LimitExceeded {
+                    field: "topology.torus.ndims",
+                    value: ndims.into(),
+                    limit: limits.max_dims.into(),
+                });
             }
-            TopologySpec::FatTree { k } => write!(f, "fattree(k={k})"),
+            TopologySpec::Torus {
+                extents: (0..ndims).map(|_| rd.u32()).collect::<Result<_, _>>()?,
+            }
         }
+        3 => TopologySpec::FatTree { k: rd.u32()? },
+        other => {
+            return Err(DecodeError::BadValue {
+                field: "topology.kind",
+                value: other.into(),
+            })
+        }
+    };
+    let nodes = spec.num_nodes() as u64;
+    let (field, value, limit) = match &spec {
+        TopologySpec::Hypercube { dims } => (
+            "topology.dims",
+            u64::from(*dims),
+            u64::from(limits.max_dims),
+        ),
+        TopologySpec::Mesh2d { .. } => ("topology.mesh", nodes, limits.max_request_nodes),
+        TopologySpec::Torus { .. } => ("topology.torus", nodes, limits.max_request_nodes),
+        TopologySpec::FatTree { .. } => ("topology.fattree", nodes, limits.max_request_nodes),
+    };
+    if value > limit {
+        return Err(DecodeError::LimitExceeded {
+            field,
+            value,
+            limit,
+        });
     }
+    spec.check().map_err(|e| DecodeError::BadValue {
+        field: e.field,
+        value: e.value,
+    })?;
+    Ok(spec)
 }
 
 /// The communication scheme a request asks for: explicit, or the paper
@@ -746,31 +574,150 @@ pub struct SubmitRequest {
 }
 
 impl SubmitRequest {
+    fn envelope(&self) -> Envelope<'_> {
+        Envelope {
+            request_id: self.request_id,
+            want_schedule: self.want_schedule,
+            topology: Cow::Borrowed(&self.topology),
+            scheduler: Cow::Borrowed(&self.scheduler),
+            scheme: self.scheme,
+            backend: self.backend,
+            seed: self.seed,
+            cost_model: self.cost_model,
+        }
+    }
+
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.matrix.message_count() * 12);
-        out.push(K_SUBMIT);
+        let capacity = 64 + self.matrix.message_count() * 12;
+        self.envelope().encode(K_SUBMIT, capacity, |out| {
+            out.extend_from_slice(&(self.matrix.n() as u64).to_le_bytes());
+            out.extend_from_slice(&(self.matrix.message_count() as u64).to_le_bytes());
+            for (src, dst, bytes) in self.matrix.messages() {
+                out.extend_from_slice(&src.0.to_le_bytes());
+                out.extend_from_slice(&dst.0.to_le_bytes());
+                out.extend_from_slice(&bytes.to_le_bytes());
+            }
+        })
+    }
+
+    fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<SubmitRequest, DecodeError> {
+        let (env, matrix) = Envelope::decode(rd, limits, |rd, topology| {
+            let n = rd.u64()?;
+            if n == 0 {
+                return Err(DecodeError::BadValue {
+                    field: "matrix.n",
+                    value: n,
+                });
+            }
+            if n > limits.max_request_nodes {
+                return Err(DecodeError::LimitExceeded {
+                    field: "matrix.n",
+                    value: n,
+                    limit: limits.max_request_nodes,
+                });
+            }
+            // The dense matrix below costs n² cells; the cell budget
+            // guards that allocation independently of how high the node
+            // cap is set.
+            if n.saturating_mul(n) > limits.max_matrix_cells {
+                return Err(DecodeError::LimitExceeded {
+                    field: "matrix.cells",
+                    value: n.saturating_mul(n),
+                    limit: limits.max_matrix_cells,
+                });
+            }
+            let n = n as usize;
+            if n != topology.num_nodes() {
+                return Err(DecodeError::Invalid(format!(
+                    "matrix spans {n} nodes but the topology {topology} has {}",
+                    topology.num_nodes()
+                )));
+            }
+            let count = rd.u64()? as usize;
+            // Bound the claimed count by the bytes actually present
+            // before allocating anything proportional to it.
+            if count > rd.remaining() / 12 {
+                return Err(DecodeError::Truncated);
+            }
+            let mut matrix = CommMatrix::new(n);
+            for _ in 0..count {
+                let src = rd.u32()? as usize;
+                let dst = rd.u32()? as usize;
+                let bytes = rd.u32()?;
+                if src >= n || dst >= n {
+                    return Err(DecodeError::Invalid(format!(
+                        "message endpoint {} out of {n} nodes",
+                        src.max(dst)
+                    )));
+                }
+                if src == dst {
+                    return Err(DecodeError::Invalid(format!("self-message at node {src}")));
+                }
+                if bytes == 0 {
+                    return Err(DecodeError::Invalid(format!(
+                        "zero-byte message {src} -> {dst}"
+                    )));
+                }
+                matrix.set(src, dst, bytes);
+            }
+            Ok(matrix)
+        })?;
+        Ok(SubmitRequest {
+            request_id: env.request_id,
+            want_schedule: env.want_schedule,
+            topology: env.topology.into_owned(),
+            scheduler: env.scheduler.into_owned(),
+            scheme: env.scheme,
+            backend: env.backend,
+            seed: env.seed,
+            matrix,
+            cost_model: env.cost_model,
+        })
+    }
+}
+
+/// The fields [`SubmitRequest`] and [`SubmitDeltaRequest`] share. On the
+/// wire they wrap the kind-specific payload: frame kind, id, flags,
+/// topology, scheduler, scheme, backend and seed before it; the cost
+/// model after it, as a trailing optional field.
+struct Envelope<'a> {
+    request_id: u64,
+    want_schedule: bool,
+    topology: Cow<'a, TopologySpec>,
+    scheduler: Cow<'a, str>,
+    scheme: SchemeChoice,
+    backend: BackendKind,
+    seed: u64,
+    cost_model: LinkCostModel,
+}
+
+impl Envelope<'_> {
+    /// Encode a frame body of `kind` with `payload` inside the envelope.
+    fn encode(&self, kind: u8, capacity: usize, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::with_capacity(capacity);
+        out.push(kind);
         out.extend_from_slice(&self.request_id.to_le_bytes());
         out.push(u8::from(self.want_schedule));
-        self.topology.encode(&mut out);
+        put_topology(&mut out, &self.topology);
         put_str(&mut out, &self.scheduler);
         out.push(self.scheme.code());
         out.push(backend_code(self.backend));
         out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&(self.matrix.n() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.matrix.message_count() as u64).to_le_bytes());
-        for (src, dst, bytes) in self.matrix.messages() {
-            out.extend_from_slice(&src.0.to_le_bytes());
-            out.extend_from_slice(&dst.0.to_le_bytes());
-            out.extend_from_slice(&bytes.to_le_bytes());
-        }
+        payload(&mut out);
         if !self.cost_model.is_uniform() {
             put_str(&mut out, &self.cost_model.to_string());
         }
         out
     }
 
-    fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<SubmitRequest, DecodeError> {
+    /// Decode the envelope around a `payload` read against the decoded
+    /// topology (the frame kind byte is already consumed).
+    fn decode<T>(
+        rd: &mut Rd<'_>,
+        limits: &ProtocolLimits,
+        payload: impl FnOnce(&mut Rd<'_>, &TopologySpec) -> Result<T, DecodeError>,
+    ) -> Result<(Envelope<'static>, T), DecodeError> {
         let request_id = rd.u64()?;
         let want_schedule = match rd.u8()? {
             0 => false,
@@ -782,7 +729,7 @@ impl SubmitRequest {
                 })
             }
         };
-        let topology = TopologySpec::decode(rd, limits)?;
+        let topology = take_topology(rd, limits)?;
         let scheduler = rd.str("scheduler", MAX_NAME_LEN)?;
         let scheme = rd.u8()?;
         let scheme = SchemeChoice::from_code(scheme).ok_or(DecodeError::BadValue {
@@ -795,88 +742,29 @@ impl SubmitRequest {
             value: backend.into(),
         })?;
         let seed = rd.u64()?;
-        let n = rd.u64()?;
-        if n == 0 {
-            return Err(DecodeError::BadValue {
-                field: "matrix.n",
-                value: n,
-            });
-        }
-        if n > limits.max_request_nodes {
-            return Err(DecodeError::LimitExceeded {
-                field: "matrix.n",
-                value: n,
-                limit: limits.max_request_nodes,
-            });
-        }
-        // The dense matrix below costs n² cells; the cell budget guards
-        // that allocation independently of how high the node cap is set.
-        if n.saturating_mul(n) > limits.max_matrix_cells {
-            return Err(DecodeError::LimitExceeded {
-                field: "matrix.cells",
-                value: n.saturating_mul(n),
-                limit: limits.max_matrix_cells,
-            });
-        }
-        let n = n as usize;
-        if n != topology.num_nodes() {
-            return Err(DecodeError::Invalid(format!(
-                "matrix spans {n} nodes but the topology {topology} has {}",
-                topology.num_nodes()
-            )));
-        }
-        let count = rd.u64()? as usize;
-        // Bound the claimed count by the bytes actually present before
-        // allocating anything proportional to it.
-        if count > rd.remaining() / 12 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut matrix = CommMatrix::new(n);
-        for _ in 0..count {
-            let src = rd.u32()? as usize;
-            let dst = rd.u32()? as usize;
-            let bytes = rd.u32()?;
-            if src >= n || dst >= n {
-                return Err(DecodeError::Invalid(format!(
-                    "message endpoint {} out of {n} nodes",
-                    src.max(dst)
-                )));
-            }
-            if src == dst {
-                return Err(DecodeError::Invalid(format!("self-message at node {src}")));
-            }
-            if bytes == 0 {
-                return Err(DecodeError::Invalid(format!(
-                    "zero-byte message {src} -> {dst}"
-                )));
-            }
-            matrix.set(src, dst, bytes);
-        }
-        let cost_model = decode_cost_model(rd)?;
-        Ok(SubmitRequest {
+        let body = payload(rd, &topology)?;
+        // The trailing cost model: absent means uniform (the
+        // pre-cost-model wire format), present means a canonical string
+        // validated by the `LinkCostModel` grammar.
+        let cost_model = if rd.remaining() == 0 {
+            LinkCostModel::Uniform
+        } else {
+            let s = rd.str("cost_model", MAX_COSTMODEL_LEN)?;
+            s.parse()
+                .map_err(|e| DecodeError::Invalid(format!("cost model {s:?}: {e}")))?
+        };
+        let env = Envelope {
             request_id,
             want_schedule,
-            topology,
-            scheduler,
+            topology: Cow::Owned(topology),
+            scheduler: Cow::Owned(scheduler),
             scheme,
             backend,
             seed,
-            matrix,
             cost_model,
-        })
+        };
+        Ok((env, body))
     }
-}
-
-/// Decode the trailing optional cost-model field: absent means uniform
-/// (the pre-cost-model wire format), present means a canonical string
-/// validated by the [`LinkCostModel`] grammar.
-fn decode_cost_model(rd: &mut Rd<'_>) -> Result<LinkCostModel, DecodeError> {
-    if rd.remaining() == 0 {
-        return Ok(LinkCostModel::Uniform);
-    }
-    let s = rd.str("cost_model", MAX_COSTMODEL_LEN)?;
-    s.parse()
-        .map_err(|e| DecodeError::Invalid(format!("cost model {s:?}: {e}")))
 }
 
 /// A schedule request expressed as an **edit list against a base the
@@ -917,143 +805,124 @@ pub struct SubmitDeltaRequest {
 }
 
 impl SubmitDeltaRequest {
+    fn envelope(&self) -> Envelope<'_> {
+        Envelope {
+            request_id: self.request_id,
+            want_schedule: self.want_schedule,
+            topology: Cow::Borrowed(&self.topology),
+            scheduler: Cow::Borrowed(&self.scheduler),
+            scheme: self.scheme,
+            backend: self.backend,
+            seed: self.seed,
+            cost_model: self.cost_model,
+        }
+    }
+
     /// Encode into a frame body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(96 + self.delta.change_count() * 12);
-        out.push(K_SUBMIT_DELTA);
-        out.extend_from_slice(&self.request_id.to_le_bytes());
-        out.push(u8::from(self.want_schedule));
-        self.topology.encode(&mut out);
-        put_str(&mut out, &self.scheduler);
-        out.push(self.scheme.code());
-        out.push(backend_code(self.backend));
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&self.base.to_bytes());
-        out.extend_from_slice(&(self.delta.n() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.delta.added().len() as u64).to_le_bytes());
-        for &(src, dst, bytes) in self.delta.added() {
-            out.extend_from_slice(&src.0.to_le_bytes());
-            out.extend_from_slice(&dst.0.to_le_bytes());
-            out.extend_from_slice(&bytes.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.delta.removed().len() as u64).to_le_bytes());
-        for &(src, dst) in self.delta.removed() {
-            out.extend_from_slice(&src.0.to_le_bytes());
-            out.extend_from_slice(&dst.0.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.delta.resized().len() as u64).to_le_bytes());
-        for &(src, dst, bytes) in self.delta.resized() {
-            out.extend_from_slice(&src.0.to_le_bytes());
-            out.extend_from_slice(&dst.0.to_le_bytes());
-            out.extend_from_slice(&bytes.to_le_bytes());
-        }
-        if !self.cost_model.is_uniform() {
-            put_str(&mut out, &self.cost_model.to_string());
-        }
-        out
+        let capacity = 96 + self.delta.change_count() * 12;
+        self.envelope().encode(K_SUBMIT_DELTA, capacity, |out| {
+            out.extend_from_slice(&self.base.to_bytes());
+            out.extend_from_slice(&(self.delta.n() as u64).to_le_bytes());
+            out.extend_from_slice(&(self.delta.added().len() as u64).to_le_bytes());
+            for &(src, dst, bytes) in self.delta.added() {
+                out.extend_from_slice(&src.0.to_le_bytes());
+                out.extend_from_slice(&dst.0.to_le_bytes());
+                out.extend_from_slice(&bytes.to_le_bytes());
+            }
+            out.extend_from_slice(&(self.delta.removed().len() as u64).to_le_bytes());
+            for &(src, dst) in self.delta.removed() {
+                out.extend_from_slice(&src.0.to_le_bytes());
+                out.extend_from_slice(&dst.0.to_le_bytes());
+            }
+            out.extend_from_slice(&(self.delta.resized().len() as u64).to_le_bytes());
+            for &(src, dst, bytes) in self.delta.resized() {
+                out.extend_from_slice(&src.0.to_le_bytes());
+                out.extend_from_slice(&dst.0.to_le_bytes());
+                out.extend_from_slice(&bytes.to_le_bytes());
+            }
+        })
     }
 
     fn decode(rd: &mut Rd<'_>, limits: &ProtocolLimits) -> Result<SubmitDeltaRequest, DecodeError> {
-        let request_id = rd.u64()?;
-        let want_schedule = match rd.u8()? {
-            0 => false,
-            1 => true,
-            other => {
+        let (env, (base, delta)) = Envelope::decode(rd, limits, |rd, topology| {
+            let mut key = [0u8; 16];
+            key.copy_from_slice(rd.take(16)?);
+            let base = InstanceKey::from_bytes(key);
+            let n = rd.u64()?;
+            if n == 0 {
                 return Err(DecodeError::BadValue {
-                    field: "flags",
-                    value: other.into(),
-                })
+                    field: "delta.n",
+                    value: n,
+                });
             }
-        };
-        let topology = TopologySpec::decode(rd, limits)?;
-        let scheduler = rd.str("scheduler", MAX_NAME_LEN)?;
-        let scheme = rd.u8()?;
-        let scheme = SchemeChoice::from_code(scheme).ok_or(DecodeError::BadValue {
-            field: "scheme",
-            value: scheme.into(),
+            if n > limits.max_request_nodes {
+                return Err(DecodeError::LimitExceeded {
+                    field: "delta.n",
+                    value: n,
+                    limit: limits.max_request_nodes,
+                });
+            }
+            let n = n as usize;
+            if n != topology.num_nodes() {
+                return Err(DecodeError::Invalid(format!(
+                    "delta spans {n} nodes but the topology {topology} has {}",
+                    topology.num_nodes()
+                )));
+            }
+            // Each list bounds its claimed count by the bytes actually
+            // present before allocating anything proportional to it.
+            let added_count = rd.u64()? as usize;
+            if added_count > rd.remaining() / 12 {
+                return Err(DecodeError::Truncated);
+            }
+            let mut added = Vec::with_capacity(added_count);
+            for _ in 0..added_count {
+                let src = rd.u32()?;
+                let dst = rd.u32()?;
+                let bytes = rd.u32()?;
+                added.push((NodeId(src), NodeId(dst), bytes));
+            }
+            let removed_count = rd.u64()? as usize;
+            if removed_count > rd.remaining() / 8 {
+                return Err(DecodeError::Truncated);
+            }
+            let mut removed = Vec::with_capacity(removed_count);
+            for _ in 0..removed_count {
+                let src = rd.u32()?;
+                let dst = rd.u32()?;
+                removed.push((NodeId(src), NodeId(dst)));
+            }
+            let resized_count = rd.u64()? as usize;
+            if resized_count > rd.remaining() / 12 {
+                return Err(DecodeError::Truncated);
+            }
+            let mut resized = Vec::with_capacity(resized_count);
+            for _ in 0..resized_count {
+                let src = rd.u32()?;
+                let dst = rd.u32()?;
+                let bytes = rd.u32()?;
+                resized.push((NodeId(src), NodeId(dst), bytes));
+            }
+            // `from_parts` re-runs the matrix-level semantic checks
+            // (ranges, self-messages, zero bytes, duplicate cells), so a
+            // hostile delta surfaces as a typed error here, not a panic
+            // in the daemon's apply path.
+            let delta = MatrixDelta::from_parts(n, added, removed, resized)
+                .map_err(|e| DecodeError::Invalid(e.to_string()))?;
+            Ok((base, delta))
         })?;
-        let backend = rd.u8()?;
-        let backend = backend_from_code(backend).ok_or(DecodeError::BadValue {
-            field: "backend",
-            value: backend.into(),
-        })?;
-        let seed = rd.u64()?;
-        let mut key = [0u8; 16];
-        key.copy_from_slice(rd.take(16)?);
-        let base = InstanceKey::from_bytes(key);
-        let n = rd.u64()?;
-        if n == 0 {
-            return Err(DecodeError::BadValue {
-                field: "delta.n",
-                value: n,
-            });
-        }
-        if n > limits.max_request_nodes {
-            return Err(DecodeError::LimitExceeded {
-                field: "delta.n",
-                value: n,
-                limit: limits.max_request_nodes,
-            });
-        }
-        let n = n as usize;
-        if n != topology.num_nodes() {
-            return Err(DecodeError::Invalid(format!(
-                "delta spans {n} nodes but the topology {topology} has {}",
-                topology.num_nodes()
-            )));
-        }
-        // Each list bounds its claimed count by the bytes actually
-        // present before allocating anything proportional to it.
-        let added_count = rd.u64()? as usize;
-        if added_count > rd.remaining() / 12 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut added = Vec::with_capacity(added_count);
-        for _ in 0..added_count {
-            let src = rd.u32()?;
-            let dst = rd.u32()?;
-            let bytes = rd.u32()?;
-            added.push((NodeId(src), NodeId(dst), bytes));
-        }
-        let removed_count = rd.u64()? as usize;
-        if removed_count > rd.remaining() / 8 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut removed = Vec::with_capacity(removed_count);
-        for _ in 0..removed_count {
-            let src = rd.u32()?;
-            let dst = rd.u32()?;
-            removed.push((NodeId(src), NodeId(dst)));
-        }
-        let resized_count = rd.u64()? as usize;
-        if resized_count > rd.remaining() / 12 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut resized = Vec::with_capacity(resized_count);
-        for _ in 0..resized_count {
-            let src = rd.u32()?;
-            let dst = rd.u32()?;
-            let bytes = rd.u32()?;
-            resized.push((NodeId(src), NodeId(dst), bytes));
-        }
-        // `from_parts` re-runs the matrix-level semantic checks
-        // (ranges, self-messages, zero bytes, duplicate cells), so a
-        // hostile delta surfaces as a typed error here, not a panic in
-        // the daemon's apply path.
-        let delta = MatrixDelta::from_parts(n, added, removed, resized)
-            .map_err(|e| DecodeError::Invalid(e.to_string()))?;
-        let cost_model = decode_cost_model(rd)?;
         Ok(SubmitDeltaRequest {
-            request_id,
-            want_schedule,
-            topology,
-            scheduler,
-            scheme,
-            backend,
-            seed,
+            request_id: env.request_id,
+            want_schedule: env.want_schedule,
+            topology: env.topology.into_owned(),
+            scheduler: env.scheduler.into_owned(),
+            scheme: env.scheme,
+            backend: env.backend,
+            seed: env.seed,
             base,
             delta,
-            cost_model,
+            cost_model: env.cost_model,
         })
     }
 }
@@ -1820,23 +1689,25 @@ mod tests {
 
     #[test]
     fn topology_specs_build_what_they_name() {
+        // The wire carries topo's spec type; Display is its canonical
+        // kind string.
         let cube = TopologySpec::Hypercube { dims: 3 };
         assert_eq!(cube.num_nodes(), 8);
         assert_eq!(cube.build().num_nodes(), 8);
         let mesh = TopologySpec::Mesh2d { rows: 3, cols: 4 };
         assert_eq!(mesh.num_nodes(), 12);
         assert_eq!(mesh.build().num_nodes(), 12);
-        assert_eq!(format!("{mesh}"), "mesh(3x4)");
+        assert_eq!(format!("{mesh}"), "mesh:3x4");
         let torus = TopologySpec::Torus {
             extents: vec![4, 4, 2],
         };
         assert_eq!(torus.num_nodes(), 32);
         assert_eq!(torus.build().num_nodes(), 32);
-        assert_eq!(format!("{torus}"), "torus(4x4x2)");
+        assert_eq!(format!("{torus}"), "torus:4x4x2");
         let ft = TopologySpec::FatTree { k: 4 };
         assert_eq!(ft.num_nodes(), 16);
         assert_eq!(ft.build().num_nodes(), 16);
-        assert_eq!(format!("{ft}"), "fattree(k=4)");
+        assert_eq!(format!("{ft}"), "fattree:k=4");
     }
 
     #[test]

@@ -27,7 +27,8 @@ use std::sync::{Arc, Mutex};
 
 use commcache::{CacheConfig, CacheStats, InstanceKey, SchedCache};
 use commrt::BackendReport;
-use commsched::{registry, Schedule};
+use commsched::{registry, Schedule, Scheduler};
+use hypercube::Topology;
 use simnet::MachineParams;
 
 use crate::dedup::{FlightStats, SingleFlight};
@@ -271,24 +272,7 @@ impl ServiceState {
     /// [`ServiceError::UnknownScheduler`], [`ServiceError::UnsupportedTopology`],
     /// or [`ServiceError::BadRequest`] on a size mismatch.
     pub fn admit(&self, req: &SubmitRequest) -> Result<(), ServiceError> {
-        let entry = registry::find(&req.scheduler)
-            .ok_or_else(|| ServiceError::UnknownScheduler(req.scheduler.clone()))?;
-        if req.matrix.n() != req.topology.num_nodes() {
-            return Err(ServiceError::BadRequest(format!(
-                "matrix spans {} nodes but topology {} has {}",
-                req.matrix.n(),
-                req.topology,
-                req.topology.num_nodes()
-            )));
-        }
-        let topo = req.topology.build();
-        if !entry.supports_topology(topo.as_ref()) {
-            return Err(ServiceError::UnsupportedTopology {
-                scheduler: entry.name().to_string(),
-                topology: req.topology.to_string(),
-            });
-        }
-        Ok(())
+        resolve(req).map(drop)
     }
 
     /// The full pipeline for one admitted request.
@@ -298,23 +282,7 @@ impl ServiceState {
     /// Everything [`admit`](Self::admit) can raise (so unadmitted
     /// callers still get typed errors), plus [`ServiceError::Sim`].
     pub fn process(&self, req: &SubmitRequest) -> Result<SubmitReply, ServiceError> {
-        let entry = registry::find(&req.scheduler)
-            .ok_or_else(|| ServiceError::UnknownScheduler(req.scheduler.clone()))?;
-        if req.matrix.n() != req.topology.num_nodes() {
-            return Err(ServiceError::BadRequest(format!(
-                "matrix spans {} nodes but topology {} has {}",
-                req.matrix.n(),
-                req.topology,
-                req.topology.num_nodes()
-            )));
-        }
-        let topo = req.topology.build();
-        if !entry.supports_topology(topo.as_ref()) {
-            return Err(ServiceError::UnsupportedTopology {
-                scheduler: entry.name().to_string(),
-                topology: req.topology.to_string(),
-            });
-        }
+        let (entry, topo) = resolve(req)?;
         let key = InstanceKey::compute(&req.matrix, topo.as_ref());
         let fp = key.schedule_key(entry.name(), req.seed);
 
@@ -373,7 +341,7 @@ impl ServiceState {
                 let report = req
                     .backend
                     .backend()
-                    .estimate_costed(
+                    .estimate(
                         &self.params,
                         &req.cost_model,
                         topo.as_ref(),
@@ -398,10 +366,41 @@ impl ServiceState {
     }
 }
 
+/// Validation shared by [`ServiceState::admit`] and
+/// [`ServiceState::process`]: the registry entry and the built topology,
+/// or the typed reason the request cannot be served. Hand-built requests
+/// skip the decoder's bounds, so the topology is built fallibly.
+fn resolve(
+    req: &SubmitRequest,
+) -> Result<(&'static dyn Scheduler, Box<dyn Topology>), ServiceError> {
+    let entry = registry::find(&req.scheduler)
+        .ok_or_else(|| ServiceError::UnknownScheduler(req.scheduler.clone()))?;
+    if req.matrix.n() != req.topology.num_nodes() {
+        return Err(ServiceError::BadRequest(format!(
+            "matrix spans {} nodes but topology {} has {}",
+            req.matrix.n(),
+            req.topology,
+            req.topology.num_nodes()
+        )));
+    }
+    let topo = req
+        .topology
+        .try_build()
+        .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
+    if !entry.supports_topology(topo.as_ref()) {
+        return Err(ServiceError::UnsupportedTopology {
+            scheduler: entry.name().to_string(),
+            topology: req.topology.to_string(),
+        });
+    }
+    Ok((entry, topo))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{SchemeChoice, TopologySpec};
+    use crate::protocol::SchemeChoice;
+    use crate::TopologySpec;
     use commrt::{BackendKind, Scheme};
     use commsched::CommMatrix;
     use simnet::LinkCostModel;
@@ -439,6 +438,7 @@ mod tests {
             .backend()
             .estimate(
                 state.params(),
+                &LinkCostModel::Uniform,
                 topo.as_ref(),
                 &req.matrix,
                 &direct,
@@ -523,5 +523,24 @@ mod tests {
             state.admit(&unknown).unwrap_err().code(),
             ErrorCode::UnknownScheduler
         );
+    }
+
+    #[test]
+    fn unbuildable_hand_built_topologies_are_bad_requests_not_panics() {
+        // `dims: 0` names one node, so a one-node matrix passes the size
+        // check; only the topology bounds can reject it, and an
+        // unchecked build would panic the worker.
+        let state = ServiceState::new(&ServiceConfig::default());
+        let mut req = request(1, BackendKind::Analytic);
+        req.topology = TopologySpec::Hypercube { dims: 0 };
+        req.matrix = CommMatrix::new(1);
+        assert!(matches!(
+            state.admit(&req),
+            Err(ServiceError::BadRequest(msg)) if msg.contains("dimension")
+        ));
+        assert!(matches!(
+            state.process(&req),
+            Err(ServiceError::BadRequest(_))
+        ));
     }
 }

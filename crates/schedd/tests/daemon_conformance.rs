@@ -11,7 +11,7 @@ use schedd::{
     Client, ClientError, Endpoint, ErrorCode, Request, Response, SchemeChoice, Server,
     ServiceConfig, SubmitDeltaRequest, SubmitRequest, TopologySpec,
 };
-use simnet::MachineParams;
+use simnet::{LinkCostModel, MachineParams};
 use workloads::Generator;
 
 /// The pinned request set: one d-regular instance per dimension.
@@ -72,6 +72,7 @@ fn daemon_responses_are_byte_identical_to_in_process_calls() {
             .backend()
             .estimate(
                 &params,
+                &LinkCostModel::Uniform,
                 topo.as_ref(),
                 &req.matrix,
                 &expect_schedule,
@@ -380,6 +381,7 @@ fn torus_and_fattree_submits_conform_too() {
                     .backend()
                     .estimate(
                         &params,
+                        &LinkCostModel::Uniform,
                         topo.as_ref(),
                         &req.matrix,
                         &expect_schedule,
@@ -448,7 +450,14 @@ fn explicit_scheme_choices_conform_too() {
             let schedule = entry.schedule(&req.matrix, topo.as_ref(), req.seed);
             let expect = backend
                 .backend()
-                .estimate(&params, topo.as_ref(), &req.matrix, &schedule, scheme)
+                .estimate(
+                    &params,
+                    &LinkCostModel::Uniform,
+                    topo.as_ref(),
+                    &req.matrix,
+                    &schedule,
+                    scheme,
+                )
                 .unwrap();
             assert_eq!(reply.estimate, expect, "{choice:?} on {}", backend.label());
             assert!(reply.schedule.is_none(), "schedule not requested");

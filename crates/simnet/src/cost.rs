@@ -1,6 +1,6 @@
 //! Heterogeneous link-cost models: per-link (latency, bandwidth, up/down)
 //! maps over any [`Topology`], with named presets parsed by a kind-string
-//! grammar like `topo`'s `TopologyKind`.
+//! grammar like `topo`'s `TopologySpec`.
 //!
 //! The paper's machine is uniform — every channel of the iPSC/860 prices
 //! identically under [`MachineParams`] — but real fabrics are not: links

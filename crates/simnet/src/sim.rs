@@ -19,9 +19,6 @@ use crate::stats::{SimError, SimReport, SimStats};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::{ClaimPolicy, MachineParams, PortModel};
 
-/// The paper's machine: what every legacy entry point prices under.
-const UNIFORM: &LinkCostModel = &LinkCostModel::Uniform;
-
 /// Safety valve: no legitimate schedule on machines this crate targets comes
 /// anywhere near this many events.
 const EVENT_BUDGET: u64 = 100_000_000;
@@ -51,7 +48,8 @@ pub enum ExecMode {
     },
 }
 
-/// Run `programs` (one per node of `topo`) to completion.
+/// Run `programs` (one per node of `topo`) to completion on the paper's
+/// machine: uniform link costs, the sequential engine, no trace.
 ///
 /// # Errors
 ///
@@ -62,75 +60,41 @@ pub fn simulate<T: Topology + ?Sized>(
     params: &MachineParams,
     programs: Vec<Program>,
 ) -> Result<SimReport, SimError> {
-    simulate_with(topo, params, programs, ExecMode::Sequential)
+    simulate_with(
+        topo,
+        params,
+        &LinkCostModel::Uniform,
+        programs,
+        ExecMode::Sequential,
+        false,
+    )
+    .map(|(report, _)| report)
 }
 
-/// Like [`simulate`], under an explicit [`ExecMode`].
+/// [`simulate`] with every knob explicit.
+///
+/// * `cost` prices each transfer: routes that cross a down link detour
+///   where the fabric permits ([`Topology::route_avoiding`]) and fail
+///   with [`SimError::LinkDown`] where it does not.
+///   `LinkCostModel::Uniform` is byte-identical to [`simulate`].
+/// * `mode` picks the sequential reference loop or the parallel mode.
+/// * `traced` records the full execution trace; untraced runs return an
+///   empty one.
+///
+/// # Errors
+///
+/// See [`simulate`]; additionally [`SimError::LinkDown`] for stranded
+/// transfers.
 pub fn simulate_with<T: Topology + ?Sized>(
     topo: &T,
     params: &MachineParams,
-    programs: Vec<Program>,
-    mode: ExecMode,
-) -> Result<SimReport, SimError> {
-    simulate_costed_with(topo, params, UNIFORM, programs, mode)
-}
-
-/// Like [`simulate`], pricing transfers under a [`LinkCostModel`]: routes
-/// that cross a down link detour where the fabric permits
-/// ([`Topology::route_avoiding`]) and fail with [`SimError::LinkDown`]
-/// where it does not. `LinkCostModel::Uniform` is byte-identical to
-/// [`simulate`].
-pub fn simulate_costed<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
-    cost: &LinkCostModel,
-    programs: Vec<Program>,
-) -> Result<SimReport, SimError> {
-    simulate_costed_with(topo, params, cost, programs, ExecMode::Sequential)
-}
-
-/// Like [`simulate_costed`], under an explicit [`ExecMode`].
-pub fn simulate_costed_with<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
     cost: &LinkCostModel,
     programs: Vec<Program>,
     mode: ExecMode,
-) -> Result<SimReport, SimError> {
-    Sim::new(topo, params, cost, programs, false, mode)?
-        .run()
-        .map(|(r, _)| r)
-}
-
-/// Like [`simulate`], additionally returning the full execution trace.
-pub fn simulate_traced<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
-    programs: Vec<Program>,
+    traced: bool,
 ) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
-    simulate_traced_with(topo, params, programs, ExecMode::Sequential)
-}
-
-/// Like [`simulate_traced`], under an explicit [`ExecMode`].
-pub fn simulate_traced_with<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
-    programs: Vec<Program>,
-    mode: ExecMode,
-) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
-    simulate_traced_costed_with(topo, params, UNIFORM, programs, mode)
-}
-
-/// Like [`simulate_traced_with`], pricing under a [`LinkCostModel`].
-pub fn simulate_traced_costed_with<T: Topology + ?Sized>(
-    topo: &T,
-    params: &MachineParams,
-    cost: &LinkCostModel,
-    programs: Vec<Program>,
-    mode: ExecMode,
-) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
-    let (r, t) = Sim::new(topo, params, cost, programs, true, mode)?.run()?;
-    Ok((r, t.expect("trace was requested")))
+    let (report, trace) = Sim::new(topo, params, cost, programs, traced, mode)?.run()?;
+    Ok((report, trace.unwrap_or_default()))
 }
 
 /// One side of a pairwise-exchange rendezvous waiting for its partner.

@@ -1,6 +1,6 @@
 use hypercube::{LinkId, NodeId, Path, RoutingProperties, Topology};
 
-use crate::BuildError;
+use crate::{BuildError, TopologySpec};
 
 /// A k-ary fat-tree (Clos) with deterministic up-down routing.
 ///
@@ -60,12 +60,8 @@ impl FatTree {
     ///
     /// [`BuildError`] naming the violated bound.
     pub fn try_new(k: usize) -> Result<Self, BuildError> {
-        if !(2..=64).contains(&k) || !k.is_multiple_of(2) {
-            return Err(BuildError::new(format!(
-                "fat-tree arity must be even and in 2..=64, got {k}"
-            )));
-        }
-        let k = k as u32;
+        let k = u32::try_from(k).unwrap_or(u32::MAX);
+        TopologySpec::FatTree { k }.check()?;
         let hosts = k * k * k / 4;
         // This string is hashed into cache fingerprints; it must never
         // change shape.

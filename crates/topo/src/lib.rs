@@ -14,7 +14,7 @@
 //!   (k/2)² core switches) under deterministic up-down routing: the
 //!   upward aggregation and core choices are pure functions of the
 //!   destination, so every host pair owns exactly one circuit.
-//! * [`TopologyKind`] — a parser/registry making topologies *data*:
+//! * [`TopologySpec`] — a parser/registry making topologies *data*:
 //!   `"cube:d=6"`, `"mesh:4x8"`, `"torus:4x4x4x4"`, `"fattree:k=8"`
 //!   round-trip through strings at every entry point (CLI flags, grid
 //!   axes, daemon requests, test sweeps).
@@ -27,10 +27,10 @@
 //! # Example
 //!
 //! ```
-//! use topo::TopologyKind;
+//! use topo::TopologySpec;
 //! use hypercube::{NodeId, Topology};
 //!
-//! let torus = TopologyKind::parse("torus:4x4").unwrap().build();
+//! let torus = TopologySpec::parse("torus:4x4").unwrap().build();
 //! assert_eq!(torus.num_nodes(), 16);
 //! // Wraparound: 0 -> 3 is one hop around the ring, not three across.
 //! assert_eq!(torus.hops(NodeId(0), NodeId(3)), 1);
@@ -46,29 +46,28 @@ mod kind;
 mod torus;
 
 pub use fattree::FatTree;
-pub use kind::{KindError, TopologyKind};
+pub use kind::{KindError, TopologySpec};
 pub use torus::Torus;
+
+/// Largest node count any family builds (`cube:d=20`).
+pub(crate) const MAX_NODES: usize = 1 << 20;
 
 /// Why a topology could not be constructed — the typed alternative to
 /// the constructors' panics, for untrusted input paths (wire frames,
 /// CLI flags, env vars).
 ///
-/// [`Torus::try_new`] and [`FatTree::try_new`] return this;
-/// [`TopologyKind::parse`] folds it into [`KindError::BadSpec`].
+/// [`TopologySpec::check`], [`Torus::try_new`] and [`FatTree::try_new`]
+/// return this; [`TopologySpec::parse`] folds it into
+/// [`KindError::BadSpec`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BuildError {
-    detail: String,
-}
-
-impl BuildError {
-    pub(crate) fn new(detail: String) -> Self {
-        BuildError { detail }
-    }
-
+    /// The spec field that broke its bound, as a dotted path
+    /// (`topology.torus.extent`) — the name wire decoders report.
+    pub field: &'static str,
+    /// The offending value (saturated to `u64::MAX`).
+    pub value: u64,
     /// What bound the spec violated.
-    pub fn detail(&self) -> &str {
-        &self.detail
-    }
+    pub detail: String,
 }
 
 impl fmt::Display for BuildError {

@@ -1,6 +1,6 @@
 use hypercube::{LinkId, NodeId, Path, RoutingProperties, Topology};
 
-use crate::BuildError;
+use crate::{BuildError, TopologySpec};
 
 /// Direction encoding for torus channels: around the ring toward higher
 /// coordinates.
@@ -52,38 +52,31 @@ impl Torus {
     }
 
     /// Fallible [`Torus::new`]: a typed [`BuildError`] instead of a
-    /// panic for hostile or out-of-bounds specs — no dimensions, more
-    /// than 8 of them, an extent below 2 (a 1-ring has no links), or a
-    /// node count above `2^20` (mirroring the hypercube's cap), however
-    /// astronomically the extents multiply out.
+    /// panic for any spec [`TopologySpec::check`] rejects — no
+    /// dimensions, more than 8 of them, an extent below 2 (a 1-ring has
+    /// no links), or a node count above `2^20` (mirroring the
+    /// hypercube's cap), however astronomically the extents multiply
+    /// out.
     ///
     /// # Errors
     ///
     /// [`BuildError`] naming the violated bound.
     pub fn try_new(extents: &[usize]) -> Result<Self, BuildError> {
-        if !(1..=8).contains(&extents.len()) {
-            return Err(BuildError::new(format!(
-                "torus must have 1..=8 dimensions, got {}",
-                extents.len()
-            )));
-        }
-        let mut nodes: usize = 1;
-        let mut strides = Vec::with_capacity(extents.len());
-        for &k in extents {
-            if !(2..=1 << 20).contains(&k) {
-                return Err(BuildError::new(format!(
-                    "torus extent must be >= 2, got {k}"
-                )));
-            }
-            strides.push(nodes as u32);
-            // Checked, then bounded: `u32::MAX x u32::MAX x ...` wire
-            // specs must surface as this same typed error, not wrap or
-            // panic.
-            nodes = nodes
-                .checked_mul(k)
-                .filter(|&n| n <= 1 << 20)
-                .ok_or_else(|| BuildError::new("torus larger than 2^20 nodes".to_string()))?;
-        }
+        let spec = TopologySpec::Torus {
+            extents: extents
+                .iter()
+                .map(|&k| u32::try_from(k).unwrap_or(u32::MAX))
+                .collect(),
+        };
+        spec.check()?;
+        let strides = extents
+            .iter()
+            .scan(1usize, |stride, &k| {
+                let s = *stride as u32;
+                *stride *= k;
+                Some(s)
+            })
+            .collect();
         // This string is hashed into cache fingerprints; it must never
         // change shape.
         let name = format!(
@@ -97,7 +90,7 @@ impl Torus {
         Ok(Torus {
             extents: extents.iter().map(|&k| k as u32).collect(),
             strides,
-            nodes: nodes as u32,
+            nodes: spec.num_nodes() as u32,
             name,
         })
     }

@@ -81,8 +81,15 @@ fn main() {
         let schedule = entry.schedule(&com, &cube, 9);
         let scheme = Scheme::for_scheduler(entry);
         let report = |b: &dyn SimBackend| -> BackendReport {
-            b.estimate(&params, &cube, &com, &schedule, scheme)
-                .expect("estimates run")
+            b.estimate(
+                &params,
+                &LinkCostModel::Uniform,
+                &cube,
+                &com,
+                &schedule,
+                scheme,
+            )
+            .expect("estimates run")
         };
         let (des, ana) = (
             report(&DesBackend::default()),

@@ -12,7 +12,7 @@
 //! * [`topo`] — the pluggable fabric family beyond the paper: k-ary
 //!   n-cube tori (dimension-ordered shortest-direction routing) and
 //!   k-ary fat-trees (deterministic up-down routing), plus the
-//!   [`topo::TopologyKind`] kind-string grammar (`"torus:4x4x4"`,
+//!   [`topo::TopologySpec`] kind-string grammar (`"torus:4x4x4"`,
 //!   `"fattree:k=8"`) used by CLIs and the daemon.
 //! * [`simnet`] — a discrete-event simulator of the iPSC/860's
 //!   circuit-switched network (the hardware substitute).
@@ -63,15 +63,15 @@ pub mod prelude {
     pub use commcache::{ArtifactStore, CacheConfig, CacheStats, Fingerprint, SchedCache};
     pub use commrt::{
         run_schedule, AnalyticBackend, BackendKind, BackendReport, DesBackend, ExperimentGrid,
-        ExperimentRunner, GridResult, Scheme, SimBackend, SimMode, WorkloadPoint,
+        ExperimentRunner, GridResult, Scheme, SimBackend, WorkloadPoint,
     };
     pub use commsched::{
         ac, greedy, lp, rs_n, rs_nl, validate_schedule, CommMatrix, Schedule, ScheduleQuality,
         SchedulerKind,
     };
     pub use hypercube::{Hypercube, Mesh2d, NodeId, RoutingProperties, Topology};
-    pub use simnet::{simulate, MachineParams, SimReport};
-    pub use topo::{FatTree, TopologyKind, Torus};
+    pub use simnet::{simulate, LinkCostModel, MachineParams, SimReport};
+    pub use topo::{FatTree, TopologySpec, Torus};
     pub use workloads;
     pub use workloads::Generator;
 }

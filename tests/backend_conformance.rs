@@ -10,7 +10,7 @@
 //! from the command line.
 
 use commrt::grid::{GridColumn, SchedulerHandle, WorkloadPoint};
-use commrt::{BackendKind, ExperimentGrid};
+use commrt::{BackendKind, ExperimentGrid, LinkCostModel};
 use commsched::registry;
 use hypercube::Hypercube;
 use repro_bench::simcheck;
@@ -200,7 +200,14 @@ fn self_directed_schedules_error_on_both_backends_without_panicking() {
         for scheme in [commrt::Scheme::S1, commrt::Scheme::S2] {
             let err = kind
                 .backend()
-                .estimate(&params, &cube, &com, &hostile, scheme)
+                .estimate(
+                    &params,
+                    &LinkCostModel::Uniform,
+                    &cube,
+                    &com,
+                    &hostile,
+                    scheme,
+                )
                 .unwrap_err();
             assert!(
                 matches!(err, simnet::SimError::ProgramError { .. }),

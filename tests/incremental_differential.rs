@@ -119,11 +119,11 @@ proptest! {
             };
             for backend in backends {
                 let patched_ns = backend
-                    .estimate(&params, &cube, &target, &patched, scheme)
+                    .estimate(&params, &LinkCostModel::Uniform, &cube, &target, &patched, scheme)
                     .unwrap_or_else(|e| panic!("{}/{}: patched: {e}", entry.name(), backend.name()))
                     .makespan_ns;
                 let scratch_ns = backend
-                    .estimate(&params, &cube, &target, &scratch, scheme)
+                    .estimate(&params, &LinkCostModel::Uniform, &cube, &target, &scratch, scheme)
                     .unwrap_or_else(|e| panic!("{}/{}: scratch: {e}", entry.name(), backend.name()))
                     .makespan_ns;
                 prop_assert!(

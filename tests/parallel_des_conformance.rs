@@ -39,7 +39,7 @@ use commrt::{DesBackend, Scheme, SimBackend};
 use commsched::registry;
 use hypercube::{Hypercube, Topology};
 use repro_bench::simcheck;
-use simnet::ExecMode;
+use simnet::{ExecMode, LinkCostModel};
 
 /// Makespan band for atomic-policy arbitration drift (observed 0.192).
 const MAKESPAN_BAND: f64 = 0.25;
@@ -61,7 +61,14 @@ fn estimate(
         Some(mode) => DesBackend::with_exec(mode),
     };
     backend
-        .estimate(params, cube, com, &schedule, scheme)
+        .estimate(
+            params,
+            &LinkCostModel::Uniform,
+            cube,
+            com,
+            &schedule,
+            scheme,
+        )
         .unwrap_or_else(|e| panic!("{} DES failed under {exec:?}: {e}", entry.name()))
 }
 

@@ -183,10 +183,10 @@ proptest! {
             let s = entry.schedule(&com, &cube, seed);
             let s2 = s.relabeled(&perm);
             let a = commrt::AnalyticBackend::default()
-                .estimate_on(&params, &cube, &com, &s, scheme)
+                .estimate_on_costed(&params, &LinkCostModel::Uniform, &cube, &com, &s, scheme)
                 .unwrap();
             let b = commrt::AnalyticBackend::default()
-                .estimate_on(&params, &cube, &com2, &s2, scheme)
+                .estimate_on_costed(&params, &LinkCostModel::Uniform, &cube, &com2, &s2, scheme)
                 .unwrap();
             if scheme == commrt::Scheme::S2 {
                 prop_assert!(
@@ -221,11 +221,11 @@ proptest! {
         seed in 0u64..1000,
     ) {
         // The full support matrix: every registry entry × every
-        // TopologyKind either produces a valid schedule whose claimed
+        // TopologySpec either produces a valid schedule whose claimed
         // guarantees hold *on that fabric*, or declines via
         // `supports_topology` — never a panic, never a silent downgrade.
         for spec in ["cube:d=3", "mesh:2x4", "torus:2x4", "torus:2x2x2", "fattree:k=4"] {
-            let topo = TopologyKind::parse(spec).expect("pinned kind").build();
+            let topo = TopologySpec::parse(spec).expect("pinned kind").build();
             let n = topo.num_nodes();
             let mut com = CommMatrix::new(n);
             for &(s, d, bytes) in &cells {
@@ -282,7 +282,7 @@ proptest! {
         // path, no route exceeds the diameter, every link id is in range,
         // and routing is deterministic.
         for spec in ["cube:d=4", "mesh:3x4", "torus:4x4", "torus:3x2x2", "fattree:k=4"] {
-            let topo = TopologyKind::parse(spec).expect("pinned kind").build();
+            let topo = TopologySpec::parse(spec).expect("pinned kind").build();
             let n = topo.num_nodes();
             let diameter = topo.diameter();
             let links = topo.link_count();
