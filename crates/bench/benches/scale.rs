@@ -10,17 +10,16 @@
 //!   per pool may grow only with the route lengths (~d), never with
 //!   the 2^d node count — the `--expect-analytic-growth` gate pins the
 //!   d=14 → d=20 ratio.
-//! * `des-seq/d{dim}` and `des-par/d10` — the exact engine on dense
-//!   AC-scheduled traffic (`dregular(d=16, M=4096)`, the pending-set
-//!   regime batching was built for), sequential at d ∈ {6, 8, 10} and
-//!   parallel at d=10. The `--expect-parallel-speedup` gate pins the
-//!   d=10 sequential/parallel ratio.
+//! * `des-seq/d{dim}` — the exact engine on dense AC-scheduled traffic
+//!   (`dregular(d=16, M=4096)`, a large pending set) at d ∈ {6, 8, 10}.
+//!   The `--expect-des-d10-wall-ms` gate bounds the d=10 run's mean wall
+//!   time.
 //!
 //! Gates (all optional, for CI exit-code enforcement):
 //!
 //! ```text
 //! cargo bench --bench scale -- --expect-analytic-growth 2.0 \
-//!     --expect-parallel-speedup 2.0 --expect-analytic-wall-ms 50
+//!     --expect-des-d10-wall-ms 400 --expect-analytic-wall-ms 50
 //! ```
 //!
 //! `REPRO_SAMPLES` overrides the repetition count (default 3).
@@ -30,25 +29,25 @@ use commsched::registry;
 use criterion::black_box;
 use hypercube::{Hypercube, NodeId, Topology};
 use repro_bench::{time_case, write_bench_json};
-use simnet::{ExecMode, LinkCostModel, LoadModel, PortModel, TransferSpec};
+use simnet::{LinkCostModel, LoadModel, PortModel, TransferSpec};
 
 /// Analytic sweep: d=6 (the paper) through d=20 (a million nodes).
 const ANALYTIC_DIMS: [u32; 8] = [6, 8, 10, 12, 14, 16, 18, 20];
 /// Fixed traffic per pool — the independent variable is the fabric.
 const POOL_TRANSFERS: usize = 2048;
-/// Sequential DES curve; d=10 also runs in parallel mode.
+/// DES curve; d=10 carries the wall-time gate.
 const DES_DIMS: [u32; 3] = [6, 8, 10];
 
 struct Gates {
     analytic_growth: Option<f64>,
-    parallel_speedup: Option<f64>,
+    des_d10_wall_ms: Option<f64>,
     analytic_wall_ms: Option<f64>,
 }
 
 fn parse_gates() -> Gates {
     let mut gates = Gates {
         analytic_growth: None,
-        parallel_speedup: None,
+        des_d10_wall_ms: None,
         analytic_wall_ms: None,
     };
     let mut args = std::env::args().skip(1);
@@ -65,8 +64,8 @@ fn parse_gates() -> Gates {
             "--expect-analytic-growth" => {
                 gates.analytic_growth = Some(expect("--expect-analytic-growth"));
             }
-            "--expect-parallel-speedup" => {
-                gates.parallel_speedup = Some(expect("--expect-parallel-speedup"));
+            "--expect-des-d10-wall-ms" => {
+                gates.des_d10_wall_ms = Some(expect("--expect-des-d10-wall-ms"));
             }
             "--expect-analytic-wall-ms" => {
                 gates.analytic_wall_ms = Some(expect("--expect-analytic-wall-ms"));
@@ -141,7 +140,7 @@ fn main() {
         cases.push(case);
     }
 
-    // -- DES: dense AC traffic, sequential curve + parallel d=10 -----------
+    // -- DES: dense AC traffic ---------------------------------------------
     let params = simnet::MachineParams::ipsc860();
     let entry = registry::find("AC").expect("AC is registered");
     let scheme = Scheme::for_scheduler(entry);
@@ -152,35 +151,21 @@ fn main() {
         let cube = Hypercube::new(dim);
         let com = workloads::random_dregular(cube.num_nodes(), density, bytes, 7);
         let schedule = entry.schedule(&com, &cube, 7);
-        let modes: &[(&str, Option<ExecMode>)] = if dim == 10 {
-            &[
-                ("des-seq", None),
-                ("des-par", Some(ExecMode::Parallel { threads: 4 })),
-            ]
-        } else {
-            &[("des-seq", None)]
-        };
-        for &(label, exec) in modes {
-            let backend = match exec {
-                None => DesBackend::default(),
-                Some(mode) => DesBackend::with_exec(mode),
-            };
-            let case = time_case(format!("{label}/d{dim}"), reps, || {
-                backend
-                    .estimate(
-                        &params,
-                        &LinkCostModel::Uniform,
-                        &cube,
-                        &com,
-                        &schedule,
-                        scheme,
-                    )
-                    .unwrap_or_else(|e| panic!("{label} d={dim}: {e}"));
-            });
-            println!("  {label}/d{dim}: {:>9.3} ms/run", case.mean_ns / 1e6);
-            des_mean.insert((label, dim), case.mean_ns);
-            cases.push(case);
-        }
+        let case = time_case(format!("des-seq/d{dim}"), reps, || {
+            DesBackend
+                .estimate(
+                    &params,
+                    &LinkCostModel::Uniform,
+                    &cube,
+                    &com,
+                    &schedule,
+                    scheme,
+                )
+                .unwrap_or_else(|e| panic!("des-seq d={dim}: {e}"));
+        });
+        println!("  des-seq/d{dim}: {:>9.3} ms/run", case.mean_ns / 1e6);
+        des_mean.insert(dim, case.mean_ns);
+        cases.push(case);
     }
 
     let path = write_bench_json("scale_sim", &cases).expect("write bench json");
@@ -196,11 +181,11 @@ fn main() {
             failed = true;
         }
     }
-    let speedup = des_mean[&("des-seq", 10)] / des_mean[&("des-par", 10)];
-    println!("parallel DES speedup on dense d=10: {speedup:.2}x");
-    if let Some(bound) = gates.parallel_speedup {
-        if speedup < bound {
-            eprintln!("scale: FAIL parallel speedup {speedup:.2}x < {bound:.2}x");
+    let des_ms = des_mean[&10] / 1e6;
+    println!("exact engine d=10 wall: {des_ms:.3} ms");
+    if let Some(bound) = gates.des_d10_wall_ms {
+        if des_ms > bound {
+            eprintln!("scale: FAIL des-seq/d10 wall {des_ms:.3} ms > {bound:.1} ms");
             failed = true;
         }
     }

@@ -224,7 +224,7 @@ fn differential(
     let params = simnet::MachineParams::ipsc860();
     let scheme = Scheme::for_scheduler(entry);
     let schedule = entry.schedule(com, cube, seed);
-    let des = DesBackend::default()
+    let des = DesBackend
         .estimate(
             &params,
             &LinkCostModel::Uniform,

@@ -34,7 +34,7 @@ use commsched::{CommMatrix, Schedule, ScheduleKind};
 use hypercube::{NodeId, Path, Topology};
 use simnet::cost::resolve_route;
 use simnet::{
-    ExecMode, LinkCostModel, LoadModel, MachineParams, PoolMode, SimError, TraceKind, TransferSpec,
+    LinkCostModel, LoadModel, MachineParams, PoolMode, SimError, TraceKind, TransferSpec,
 };
 
 use crate::compile::compile;
@@ -190,19 +190,7 @@ fn priced_route<T: Topology + ?Sized>(
 /// This is the same code path [`crate::ExperimentRunner`] fast-paths for
 /// its default measurements (minus the trace); makespans agree exactly.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct DesBackend {
-    /// Engine execution mode: sequential (exact, the default) or the
-    /// parallel conservative-lookahead mode ([`simnet::ExecMode`]).
-    pub exec: ExecMode,
-}
-
-impl DesBackend {
-    /// Backend running the engine under `exec` — the parallel mode's
-    /// only entry point (the scale bench uses it).
-    pub fn with_exec(exec: ExecMode) -> Self {
-        DesBackend { exec }
-    }
-}
+pub struct DesBackend;
 
 impl SimBackend for DesBackend {
     fn name(&self) -> &'static str {
@@ -220,7 +208,7 @@ impl SimBackend for DesBackend {
     ) -> Result<BackendReport, SimError> {
         check_shapes(topo, com, schedule)?;
         let programs = compile(com, schedule, scheme);
-        let (report, trace) = simnet::simulate_with(topo, params, cost, programs, self.exec, true)?;
+        let (report, trace) = simnet::simulate_with(topo, params, cost, programs, true)?;
         let phases = schedule.num_phases().max(1);
         let mut phase_end_ns = vec![0u64; phases];
         // Requested/Started per (src, dst, tag): blocked-start detection.
@@ -660,9 +648,7 @@ impl SimBackend for AnalyticBackend {
 // Selection
 // ---------------------------------------------------------------------------
 
-static DES: DesBackend = DesBackend {
-    exec: ExecMode::Sequential,
-};
+static DES: DesBackend = DesBackend;
 static ANALYTIC: AnalyticBackend = AnalyticBackend {
     pool: PoolMode::Auto,
 };
@@ -888,7 +874,7 @@ mod tests {
         for &entry in registry::all() {
             let schedule = entry.schedule(&com, &cube, 1);
             let scheme = Scheme::for_scheduler(entry);
-            let des = DesBackend::default()
+            let des = DesBackend
                 .estimate(
                     &params,
                     &LinkCostModel::Uniform,
@@ -1011,7 +997,7 @@ mod tests {
         let params = MachineParams::ipsc860();
         let schedule = rs_nl(&com, &cube, 4);
         let direct = crate::run_schedule(&cube, &params, &com, &schedule, Scheme::S1).unwrap();
-        let via_backend = DesBackend::default()
+        let via_backend = DesBackend
             .estimate(
                 &params,
                 &LinkCostModel::Uniform,

@@ -1,8 +1,8 @@
 use commsched::{CommMatrix, Schedule, ScheduleKind};
 use hypercube::{NodeId, Topology};
 use simnet::{
-    simulate, simulate_with, ExecMode, LinkCostModel, MachineParams, Program, ProgramBuilder,
-    SimError, SimReport, Tag, TraceEvent,
+    simulate, simulate_with, LinkCostModel, MachineParams, Program, ProgramBuilder, SimError,
+    SimReport, Tag, TraceEvent,
 };
 
 /// Tag of the data message scheduled in phase `k` (AC uses phase 0).
@@ -227,7 +227,6 @@ pub fn run_schedule_traced<T: Topology + ?Sized>(
         params,
         &LinkCostModel::Uniform,
         compile(com, schedule, scheme),
-        ExecMode::Sequential,
         true,
     )
 }

@@ -1,7 +1,7 @@
 use commcache::{CacheConfig, SchedCache};
 use commsched::{CommMatrix, I860CostModel, Schedule, Scheduler};
 use hypercube::Topology;
-use simnet::{ExecMode, LinkCostModel, MachineParams, SimError};
+use simnet::{LinkCostModel, MachineParams, SimError};
 use std::sync::{Arc, Mutex};
 use workloads::SampleSet;
 
@@ -350,16 +350,9 @@ pub(crate) fn measure_sample<T: Topology + ?Sized>(
     let comm_ms = match backend {
         BackendKind::Des => {
             let programs = compile(com, schedule, scheme);
-            simnet::simulate_with(
-                topo,
-                params,
-                link_costs,
-                programs,
-                ExecMode::Sequential,
-                false,
-            )?
-            .0
-            .makespan_ms()
+            simnet::simulate_with(topo, params, link_costs, programs, false)?
+                .0
+                .makespan_ms()
         }
         BackendKind::Analytic => AnalyticBackend::default()
             .estimate_on_costed(params, link_costs, topo, com, schedule, scheme)?

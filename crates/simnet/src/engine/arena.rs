@@ -174,10 +174,11 @@ mod tests {
             links,
             duration: 1,
             request_ns: 0,
-            start_ns: 0,
             state: TState::Pending,
             claim_idx: 0,
             issue_seq: None,
+            age: 0,
+            wait_next: crate::engine::wakeup::NIL,
         }
     }
 
@@ -204,6 +205,13 @@ mod tests {
         assert!(id2 == id0 || id2 == id1, "slot reused");
         assert_eq!(a.links_of(a[id2].links), &[LinkId(9)]);
         assert_eq!(a.allocated(), 3);
+    }
+
+    #[test]
+    fn transfer_slots_stay_compact() {
+        // Live engine memory is slots × this size; the atomic policy's
+        // waiter links must fit in it without growing a slot.
+        assert!(std::mem::size_of::<Transfer>() <= 80);
     }
 
     #[test]

@@ -7,9 +7,9 @@ use hypercube::{NodeId, Path, Topology};
 
 use crate::engine::arena::LinkRange;
 use crate::engine::node::RecvState;
-use crate::engine::parallel::{ScanJob, ScanPool};
 use crate::engine::queue::{EvKind, TransferId};
 use crate::engine::router::{TKind, TState, Transfer};
+use crate::engine::wakeup::{Blocker, NIL};
 use crate::program::Tag;
 use crate::sim::Sim;
 use crate::trace::TraceKind;
@@ -83,28 +83,21 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             links,
             duration,
             request_ns: self.now + initiation,
-            start_ns: 0,
             state: TState::Pending,
             claim_idx: 0,
             issue_seq,
+            age: 0,
+            wait_next: NIL,
         });
         self.stats_transfers += 1;
         self.nodes[src as usize].outstanding_sends += 1;
         self.nodes[src as usize].stats.sends += 1;
         self.trace_push(TraceKind::Requested, src, dst, tag, bytes);
         if initiation > 0 {
-            self.push_event(self.now + initiation, EvKind::XferAdvance(id));
-            return Some(id);
-        }
-        match self.params.claim {
-            ClaimPolicy::Atomic => {
-                self.pending.push(id);
-                self.request_retry();
-            }
-            ClaimPolicy::HoldAndWait => {
-                self.transfers[id].state = TState::Claiming;
-                self.hw_advance(id);
-            }
+            self.queue
+                .push(self.now + initiation, EvKind::XferAdvance(id));
+        } else {
+            self.request_claim(id);
         }
         Some(id)
     }
@@ -139,17 +132,17 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             links,
             duration,
             request_ns: self.now,
-            start_ns: 0,
             state: TState::Pending,
             claim_idx: 0,
             issue_seq: None,
+            age: 0,
+            wait_next: NIL,
         });
         self.stats_transfers += 1;
         self.nodes[a as usize].stats.sends += 1;
         self.nodes[b as usize].stats.sends += 1;
         self.trace_push(TraceKind::Requested, a, b, tag, ab_bytes.max(ba_bytes));
-        self.pending.push(id);
-        self.request_retry();
+        self.request_claim(id);
     }
 
     pub(crate) fn create_copy_transfer(&mut self, node: u32, src: u32, bytes: u32, tag: Tag) {
@@ -163,15 +156,23 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             links: LinkRange::EMPTY,
             duration: self.params.copy_ns(bytes),
             request_ns: self.now,
-            start_ns: 0,
             state: TState::Pending,
             claim_idx: 0,
             issue_seq: None,
+            age: 0,
+            wait_next: NIL,
         });
+        self.request_claim(id);
+    }
+
+    /// A transfer requests its resources under the active claim policy:
+    /// atomic transfers enter the pending set and the claim pass runs;
+    /// hold-and-wait transfers start claiming hop by hop.
+    pub(crate) fn request_claim(&mut self, id: TransferId) {
         match self.params.claim {
             ClaimPolicy::Atomic => {
-                self.pending.push(id);
-                self.request_retry();
+                self.wakeups.enqueue(&mut self.transfers, id);
+                self.retry_pending();
             }
             ClaimPolicy::HoldAndWait => {
                 self.transfers[id].state = TState::Claiming;
@@ -210,139 +211,48 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
         }
     }
 
-    /// The sender-side head-of-line condition: only the oldest unissued
-    /// long-protocol transfer of a node may claim resources.
-    pub(crate) fn issue_ok(&self, t: &Transfer) -> bool {
-        t.issue_seq
-            .is_none_or(|s| s == self.nodes[t.src as usize].issue_cursor)
-    }
-
-    /// Ask for a pending-set rescan. Sequential mode scans immediately
-    /// (byte-identical to the historical engine); the parallel
-    /// conservative-lookahead mode defers the scan to the end of the
-    /// current timestamp batch (`Sim::run` drains it before the clock
-    /// advances), collapsing the many same-time rescans of a dense
-    /// completion burst into one batched pass.
-    pub(crate) fn request_retry(&mut self) {
-        if self.batched {
-            self.scan_due = true;
-        } else {
-            self.retry_pending();
-        }
-    }
-
+    /// The claim pass: oldest-first, first-fit over the ready transfers.
+    /// A transfer starts as soon as every resource it needs is
+    /// simultaneously free; one that cannot start parks under its first
+    /// blocker until that blocker is released
+    /// ([`crate::engine::wakeup`] explains why this is exact).
     pub(crate) fn retry_pending(&mut self) {
-        // Oldest-first, first-fit: a transfer starts as soon as every
-        // resource it needs is simultaneously free.
-        let mut i = 0;
-        while i < self.pending.len() {
-            let id = self.pending[i];
-            let t = &self.transfers[id];
-            let links = self.transfers.links_of(t.links);
-            if !self.router.can_claim_atomic(t, links, self.issue_ok(t)) {
-                i += 1;
-                continue;
+        while let Some(id) = self.wakeups.pop_ready() {
+            self.claim_checks += 1;
+            match self.atomic_check(id) {
+                Ok(direct) => self.activate(id, direct),
+                Err(Some(blocker)) => self.wakeups.park(&mut self.transfers, blocker, id),
+                // A program error is staged; the main loop surfaces it.
+                Err(None) => return,
             }
-            // Delivery feasibility (posted buffer or system-buffer space).
-            let deliverable = match self.transfers[id].kind {
-                TKind::Data { .. } => self.delivery_mode(id).ok(),
-                _ => Some(true),
-            };
-            if self.err.is_some() {
-                return;
-            }
-            let Some(direct) = deliverable else {
-                i += 1;
-                continue;
-            };
-            self.pending.remove(i);
-            self.activate(id, direct);
-            // Restart the scan: activating may have consumed resources that
-            // earlier-pended transfers were also waiting for, but it cannot
-            // have *freed* anything, so continuing from `i` is also sound;
-            // we restart for strict oldest-first fairness.
-            i = 0;
         }
     }
 
-    /// The parallel mode's deferred rescan: one age-ordered commit pass
-    /// over a snapshot of the pending set, optionally prefiltered by the
-    /// work-stealing feasibility scan ([`Sim::feasibility_flags`]).
-    ///
-    /// A single pass reaches the fixed point because activation only
-    /// *consumes* resources — a candidate rejected earlier in the pass
-    /// cannot become feasible later in it (the sequential scan's own
-    /// comment makes the same argument for continuing instead of
-    /// restarting). Commit order is the sequential oldest-first order;
-    /// every prefilter flag is re-validated under the exact predicate
-    /// before claiming, so the flags only save work, never change the
-    /// outcome of this pass.
-    pub(crate) fn retry_pending_batched(&mut self) {
-        if self.pending.is_empty() {
-            return;
+    /// One atomic feasibility check, in claim order: the issue cursor,
+    /// the router's resources, then delivery. `Ok(direct)` when `id` can
+    /// start (`direct` as in [`Sim::delivery_mode`]), otherwise the first
+    /// blocker, or `None` when the check staged a program error.
+    fn atomic_check(&mut self, id: TransferId) -> Result<bool, Option<Blocker>> {
+        let t = &self.transfers[id];
+        let src = t.src as usize;
+        // Head-of-line at the sender: only the oldest unissued
+        // long-protocol transfer of a node may claim resources.
+        if t.issue_seq
+            .is_some_and(|s| s != self.nodes[src].issue_cursor)
+        {
+            return Err(Some(Blocker::Issue(src)));
         }
-        let snap = std::mem::take(&mut self.pending);
-        let flags = self.feasibility_flags(&snap);
-        let mut keep = Vec::new();
-        for (i, &id) in snap.iter().enumerate() {
-            if self.err.is_some() {
-                keep.push(id);
-                continue;
-            }
-            if flags.as_ref().is_some_and(|f| !f[i]) {
-                keep.push(id);
-                continue;
-            }
-            let t = &self.transfers[id];
-            let links = self.transfers.links_of(t.links);
-            if !self.router.can_claim_atomic(t, links, self.issue_ok(t)) {
-                keep.push(id);
-                continue;
-            }
-            let deliverable = match self.transfers[id].kind {
-                TKind::Data { .. } => self.delivery_mode(id).ok(),
-                _ => Some(true),
-            };
-            if self.err.is_some() {
-                keep.push(id);
-                continue;
-            }
-            let Some(direct) = deliverable else {
-                keep.push(id);
-                continue;
-            };
-            self.activate(id, direct);
+        let links = self.transfers.links_of(t.links);
+        if let Some(blocker) = self.router.atomic_blocker(t, links) {
+            return Err(Some(blocker));
         }
-        self.pending = keep;
-    }
-
-    /// Fan the feasibility scan out over the worker pool. `None` means
-    /// "scan inline" — parallelism only pays for itself on big batches.
-    fn feasibility_flags(&mut self, snap: &[TransferId]) -> Option<Vec<bool>> {
-        /// Below this batch size the sequential scan beats the hand-off.
-        const PAR_SCAN_MIN: usize = 512;
-        if self.par_threads < 2 || snap.len() < PAR_SCAN_MIN {
-            return None;
+        let (kind, dst) = (t.kind, t.dst as usize);
+        match kind {
+            TKind::Data { .. } => self
+                .delivery_mode(id)
+                .map_err(|()| self.err.is_none().then_some(Blocker::Delivery(dst))),
+            _ => Ok(true),
         }
-        let pool = self
-            .scan_pool
-            .get_or_insert_with(|| ScanPool::new(self.par_threads));
-        // `forbid(unsafe_code)` rules out scoped borrows across threads:
-        // move the router and arena into the job, reclaim them after.
-        let job = ScanJob::new(
-            std::mem::take(&mut self.router),
-            std::mem::take(&mut self.transfers),
-            snap.to_vec(),
-        );
-        let job = pool.scan(job);
-        self.router = job.router;
-        self.transfers = job.transfers;
-        Some(
-            job.flags
-                .iter()
-                .map(|f| f.load(std::sync::atomic::Ordering::Relaxed))
-                .collect(),
-        )
     }
 
     pub(crate) fn activate(&mut self, id: TransferId, direct: bool) {
@@ -360,21 +270,28 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
         // Receive-side bookkeeping.
         if matches!(kind, TKind::Data { .. }) {
             self.mark_delivery(id, direct);
+            if !direct {
+                // A transfer parked on delivery here with the same
+                // (src, tag) would now fail with a program error instead
+                // of waiting: let it see the new receive state.
+                self.wakeups.wake(&self.transfers, Blocker::Delivery(dst));
+            }
         }
         let t = &mut self.transfers[id];
         t.state = TState::Active;
-        t.start_ns = self.now;
-        if let Some(s) = t.issue_seq {
+        let (issue_seq, request_ns) = (t.issue_seq, t.request_ns);
+        if let Some(s) = issue_seq {
             debug_assert_eq!(s, self.nodes[src].issue_cursor);
             self.nodes[src].issue_cursor = s + 1;
+            self.wakeups.wake_issue(&self.transfers, src, s + 1);
         }
-        if self.now > t.request_ns {
-            let delay = self.now - t.request_ns;
+        if self.now > request_ns {
+            let delay = self.now - request_ns;
             self.stats_blocked += 1;
             self.stats_blocked_ns += delay;
             self.stats_blocked_max = self.stats_blocked_max.max(delay);
         }
-        self.push_event(self.now + duration, EvKind::XferDone(id));
+        self.queue.push(self.now + duration, EvKind::XferDone(id));
         self.trace_push(TraceKind::Started, src as u32, dst as u32, tag, bytes);
     }
 
@@ -415,7 +332,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                     t.src as usize,
                     t.dst as usize,
                     t.links.len(),
-                    t.claim_idx,
+                    t.claim_idx as usize,
                 )
             };
             if kind == TKind::Copy {
@@ -443,10 +360,11 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                 if !self.router.hw_claim_link(link, id) {
                     return;
                 }
-                self.transfers[id].claim_idx = idx + 1;
+                self.transfers[id].claim_idx = idx as u32 + 1;
                 // The circuit probe takes hop_ns to cross this link.
                 if self.params.hop_ns > 0 {
-                    self.push_event(self.now + self.params.hop_ns, EvKind::XferAdvance(id));
+                    self.queue
+                        .push(self.now + self.params.hop_ns, EvKind::XferAdvance(id));
                     return;
                 }
                 continue;
@@ -456,7 +374,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                 if !self.router.hw_claim_recv_port(dst, id) {
                     return;
                 }
-                self.transfers[id].claim_idx = idx + 1;
+                self.transfers[id].claim_idx = idx as u32 + 1;
                 continue;
             }
             // Delivery condition: the circuit is fully established and holds
@@ -480,7 +398,6 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
     pub(crate) fn hw_activate(&mut self, id: TransferId) {
         let t = &mut self.transfers[id];
         t.state = TState::Active;
-        t.start_ns = self.now;
         let duration = t.duration;
         if self.now > t.request_ns {
             let delay = self.now - t.request_ns;
@@ -489,7 +406,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
             self.stats_blocked_max = self.stats_blocked_max.max(delay);
         }
         let (src, dst, tag, bytes) = (t.src, t.dst, t.tag, t.bytes);
-        self.push_event(self.now + duration, EvKind::XferDone(id));
+        self.queue.push(self.now + duration, EvKind::XferDone(id));
         self.trace_push(TraceKind::Started, src, dst, tag, bytes);
     }
 
@@ -580,7 +497,8 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                 // transfers.
                 self.check_delivery_waiters(dst);
                 if self.params.claim == ClaimPolicy::Atomic {
-                    self.request_retry();
+                    self.wakeups.wake(&self.transfers, Blocker::Delivery(dst));
+                    self.retry_pending();
                 }
             }
             TKind::Data { exchange_part } => {
@@ -627,7 +545,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                     self.finish_exchange_part(dst);
                 }
                 if self.params.claim == ClaimPolicy::Atomic {
-                    self.request_retry();
+                    self.retry_pending();
                 }
             }
             TKind::Fused => {
@@ -639,7 +557,7 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
                 self.nodes[dst].stats.direct_bytes += u64::from(bytes);
                 self.finish_exchange_part(src);
                 self.finish_exchange_part(dst);
-                self.request_retry();
+                self.retry_pending();
             }
         }
         // The transfer's events have all fired, its resources are released,
@@ -647,16 +565,20 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
         self.transfers.recycle(id);
     }
 
+    /// Resource release: hand the resource to the next hold-and-wait
+    /// waiter, if any, and wake the atomic transfers parked on it.
     pub(crate) fn release_engine(&mut self, node: usize, id: TransferId) {
         if let Some(next) = self.router.release_engine(node, id) {
-            self.push_event(self.now, EvKind::XferAdvance(next));
+            self.queue.push(self.now, EvKind::XferAdvance(next));
         }
+        self.wakeups.wake(&self.transfers, Blocker::Engine(node));
     }
 
     pub(crate) fn release_recv_port(&mut self, node: usize, id: TransferId) {
         if let Some(next) = self.router.release_recv_port(node, id) {
-            self.push_event(self.now, EvKind::XferAdvance(next));
+            self.queue.push(self.now, EvKind::XferAdvance(next));
         }
+        self.wakeups.wake(&self.transfers, Blocker::RecvPort(node));
     }
 
     pub(crate) fn release_links(&mut self, id: TransferId, duration: u64) {
@@ -666,7 +588,11 @@ impl<T: Topology + ?Sized> Sim<'_, T> {
         self.router
             .release_links(id, links, duration, |next| woken.push(next));
         for next in woken {
-            self.push_event(self.now, EvKind::XferAdvance(next));
+            self.queue.push(self.now, EvKind::XferAdvance(next));
+        }
+        for &link in self.transfers.links_of(range) {
+            self.wakeups
+                .wake(&self.transfers, Blocker::Link(link.index()));
         }
     }
 

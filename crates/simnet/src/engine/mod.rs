@@ -9,10 +9,11 @@
 //!   with FIFO wait queues for the hold-and-wait policy.
 //! * [`claim`] — the transfer lifecycle: creation, the atomic and
 //!   hold-and-wait claim policies, delivery, and completion.
+//! * [`wakeup`] — the atomic policy's pending set: blocked transfers
+//!   parked under the first resource that blocked them, woken when it is
+//!   released.
 //! * [`arena`] — slab storage for transfers and their routed circuits:
 //!   slot reuse keeps live memory proportional to *concurrent* traffic.
-//! * [`parallel`] — the work-stealing feasibility scanner behind the
-//!   parallel conservative-lookahead execution mode.
 //!
 //! The driver that ties them together — the event loop and per-node
 //! program execution, plus deadlock detection — is `crate::sim`.
@@ -20,6 +21,6 @@
 pub(crate) mod arena;
 pub(crate) mod claim;
 pub(crate) mod node;
-pub(crate) mod parallel;
 pub(crate) mod queue;
 pub(crate) mod router;
+pub(crate) mod wakeup;

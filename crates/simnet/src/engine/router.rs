@@ -17,6 +17,7 @@ use std::collections::{HashMap, VecDeque};
 use hypercube::LinkId;
 
 use crate::engine::queue::TransferId;
+use crate::engine::wakeup::Blocker;
 use crate::program::Tag;
 use crate::sparse::{MapMode, SparseMap};
 use crate::PortModel;
@@ -57,14 +58,19 @@ pub(crate) struct Transfer {
     pub links: LinkRange,
     pub duration: u64,
     pub request_ns: u64,
-    pub start_ns: u64,
     pub state: TState,
     /// Hold-and-wait claim progress: number of resources already held
     /// (0 = nothing, 1 = send port, 1+k = first k links, ...).
-    pub claim_idx: usize,
+    pub claim_idx: u32,
     /// In-order issue position at the sender (None = exempt: exchange
     /// parts, copies, and 0-byte control signals bypass the data queue).
     pub issue_seq: Option<u64>,
+    /// Atomic policy: order of entry into the pending set (the claim
+    /// pass serves older transfers first).
+    pub age: u64,
+    /// Atomic policy: next transfer parked on the same blocker
+    /// ([`crate::engine::wakeup`]).
+    pub wait_next: u32,
 }
 
 /// Occupancy slot value for a free resource.
@@ -113,42 +119,48 @@ impl Router {
         }
     }
 
-    /// The resource that admits an incoming message at `node`: the unified
-    /// engine, or the dedicated receive port in split mode.
-    pub(crate) fn port_free_for_recv(&self, node: usize) -> bool {
+    /// The resource that admits an incoming message at `node` — the
+    /// unified engine, or the dedicated receive port in split mode — if
+    /// it is busy.
+    fn recv_port_busy(&self, node: usize) -> Option<Blocker> {
         match self.ports {
-            PortModel::Unified => self.engines.get(node) == FREE,
-            PortModel::Split => self.recv_ports.get(node) == FREE,
+            PortModel::Unified => (self.engines.get(node) != FREE).then_some(Blocker::Engine(node)),
+            PortModel::Split => {
+                (self.recv_ports.get(node) != FREE).then_some(Blocker::RecvPort(node))
+            }
         }
     }
 
-    /// Atomic policy: can `t` claim *all* of its resources right now?
-    /// `links` is `t`'s claim set (resolved from the circuit arena) and
-    /// `issue_ok` the sender-side head-of-line condition (the driver
-    /// tracks issue cursors in per-node state).
-    pub(crate) fn can_claim_atomic(&self, t: &Transfer, links: &[LinkId], issue_ok: bool) -> bool {
+    /// Atomic policy: the first of `t`'s resources that is busy right
+    /// now, in claim order (source engine, destination port, then the
+    /// links of the route); `None` when `t` can claim all of them.
+    /// `links` is `t`'s claim set, resolved from the circuit arena.
+    pub(crate) fn atomic_blocker(&self, t: &Transfer, links: &[LinkId]) -> Option<Blocker> {
         let src = t.src as usize;
         let dst = t.dst as usize;
+        let engine_busy =
+            |node: usize| (self.engines.get(node) != FREE).then_some(Blocker::Engine(node));
+        let link_busy = || {
+            links
+                .iter()
+                .find(|l| self.links.get(l.index()) != FREE)
+                .map(|l| Blocker::Link(l.index()))
+        };
         match t.kind {
-            TKind::Copy => self.port_free_for_recv(dst),
-            TKind::Data { .. } => {
-                issue_ok
-                    && self.engines.get(src) == FREE
-                    && self.port_free_for_recv(dst)
-                    && links.iter().all(|l| self.links.get(l.index()) == FREE)
-            }
-            TKind::Fused => {
-                // dst here is the partner; fused exchanges exist only in the
-                // unified port model.
-                self.engines.get(src) == FREE
-                    && self.engines.get(dst) == FREE
-                    && links.iter().all(|l| self.links.get(l.index()) == FREE)
-            }
+            TKind::Copy => self.recv_port_busy(dst),
+            TKind::Data { .. } => engine_busy(src)
+                .or_else(|| self.recv_port_busy(dst))
+                .or_else(link_busy),
+            // dst here is the partner; fused exchanges exist only in the
+            // unified port model.
+            TKind::Fused => engine_busy(src)
+                .or_else(|| engine_busy(dst))
+                .or_else(link_busy),
         }
     }
 
     /// Atomic policy: claim every resource of `t` (the caller verified
-    /// [`Router::can_claim_atomic`]).
+    /// [`Router::atomic_blocker`] finds none busy).
     pub(crate) fn claim_atomic(&mut self, id: TransferId, t: &Transfer, links: &[LinkId]) {
         let src = t.src as usize;
         let dst = t.dst as usize;
@@ -319,6 +331,7 @@ impl Router {
 mod tests {
     use super::*;
     use crate::engine::arena::LinkRange;
+    use crate::engine::wakeup::NIL;
 
     fn data(src: u32, dst: u32) -> Transfer {
         Transfer {
@@ -333,10 +346,11 @@ mod tests {
             links: LinkRange::EMPTY,
             duration: 10,
             request_ns: 0,
-            start_ns: 0,
             state: TState::Pending,
             claim_idx: 0,
             issue_seq: None,
+            age: 0,
+            wait_next: NIL,
         }
     }
 
@@ -345,16 +359,20 @@ mod tests {
         let mut r = Router::new(4, 8, PortModel::Unified);
         let t0 = data(0, 1);
         let t0_links = [LinkId(3)];
-        assert!(r.can_claim_atomic(&t0, &t0_links, true));
-        assert!(
-            !r.can_claim_atomic(&t0, &t0_links, false),
-            "head-of-line gate"
-        );
+        assert_eq!(r.atomic_blocker(&t0, &t0_links), None);
         r.claim_atomic(7, &t0, &t0_links);
         // Same link, disjoint endpoints: blocked on the channel.
-        assert!(!r.can_claim_atomic(&data(2, 3), &[LinkId(3)], true));
+        assert_eq!(
+            r.atomic_blocker(&data(2, 3), &[LinkId(5), LinkId(3)]),
+            Some(Blocker::Link(3))
+        );
         // Disjoint link and endpoints: admitted concurrently.
-        assert!(r.can_claim_atomic(&data(2, 3), &[LinkId(5)], true));
+        assert_eq!(r.atomic_blocker(&data(2, 3), &[LinkId(5)]), None);
+        // The source engine is checked before the route.
+        assert_eq!(
+            r.atomic_blocker(&data(0, 2), &[LinkId(3)]),
+            Some(Blocker::Engine(0))
+        );
         // The atomic policy never allocates a wait queue.
         assert!(!r.has_wait_queues());
     }
@@ -364,13 +382,17 @@ mod tests {
         let mut r = Router::new(2, 2, PortModel::Unified);
         r.claim_atomic(1, &data(0, 1), &[]);
         // Node 1's engine is busy receiving: it can neither send nor recv.
-        assert!(!r.can_claim_atomic(&data(1, 0), &[], true));
-        assert!(!r.port_free_for_recv(1));
+        assert_eq!(r.atomic_blocker(&data(1, 0), &[]), Some(Blocker::Engine(1)));
+        assert_eq!(r.atomic_blocker(&data(0, 1), &[]), Some(Blocker::Engine(0)));
 
         let mut split = Router::new(2, 2, PortModel::Split);
         split.claim_atomic(1, &data(0, 1), &[]);
-        // Split ports: node 1 may still send while receiving.
-        assert!(split.can_claim_atomic(&data(1, 0), &[], true));
+        // Split ports: node 1 may still send while receiving, but its
+        // receive port is taken.
+        assert_eq!(split.atomic_blocker(&data(1, 0), &[]), None);
+        let mut copy = data(0, 1);
+        copy.kind = TKind::Copy;
+        assert_eq!(split.atomic_blocker(&copy, &[]), Some(Blocker::RecvPort(1)));
     }
 
     #[test]
@@ -412,13 +434,15 @@ mod tests {
         assert!(r.resident_bytes() < 1 << 16, "{}", r.resident_bytes());
         let t = data(17, 900_000);
         let circuit = [LinkId(12_345_678), LinkId(19_999_999)];
-        assert!(r.can_claim_atomic(&t, &circuit, true));
+        assert_eq!(r.atomic_blocker(&t, &circuit), None);
         r.claim_atomic(0, &t, &circuit);
-        assert!(!r.can_claim_atomic(&data(2, 17), &[LinkId(12_345_678)], true));
+        assert!(r
+            .atomic_blocker(&data(2, 17), &[LinkId(12_345_678)])
+            .is_some());
         r.release_engine(17, 0);
         r.release_engine(900_000, 0);
         r.release_links(0, &circuit, 55, |_| {});
         assert_eq!(r.link_busy_totals(), (110, 55));
-        assert!(r.can_claim_atomic(&t, &circuit, true));
+        assert_eq!(r.atomic_blocker(&t, &circuit), None);
     }
 }

@@ -42,6 +42,8 @@
 //!   with FIFO wait queues for the hold-and-wait policy.
 //! * `engine/claim.rs` — the transfer lifecycle: creation, the atomic
 //!   and hold-and-wait claim policies, delivery, and completion.
+//! * `engine/wakeup.rs` — the atomic policy's pending set: blocked
+//!   transfers parked under their first blocker, woken on its release.
 //! * `sim.rs` — the event loop, per-node program execution, statistics,
 //!   and deadlock detection.
 //!
@@ -80,6 +82,6 @@ pub use analytic::{LoadModel, PoolMode, TransferSpec};
 pub use cost::{CostModelError, LinkCost, LinkCostModel};
 pub use params::{ClaimPolicy, MachineParams, PortModel};
 pub use program::{Op, Program, ProgramBuilder, Tag};
-pub use sim::{simulate, simulate_with, ExecMode};
+pub use sim::{simulate, simulate_with};
 pub use stats::{NodeStats, SimError, SimReport, SimStats};
 pub use trace::{TraceEvent, TraceKind};

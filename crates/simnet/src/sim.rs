@@ -11,9 +11,9 @@ use hypercube::{NodeId, Topology};
 use crate::cost::LinkCostModel;
 use crate::engine::arena::TransferArena;
 use crate::engine::node::{Block, NodeState, RecvState};
-use crate::engine::parallel::ScanPool;
-use crate::engine::queue::{Clock, EvKind, EventQueue, PartitionedQueue, TransferId};
+use crate::engine::queue::{EvKind, EventQueue};
 use crate::engine::router::{Router, TState};
+use crate::engine::wakeup::{Blocker, Wakeups};
 use crate::program::{Op, Program, Tag};
 use crate::stats::{SimError, SimReport, SimStats};
 use crate::trace::{TraceEvent, TraceKind};
@@ -23,33 +23,8 @@ use crate::{ClaimPolicy, MachineParams, PortModel};
 /// anywhere near this many events.
 const EVENT_BUDGET: u64 = 100_000_000;
 
-/// How the engine executes: the sequential reference loop, or the
-/// parallel conservative-lookahead mode.
-///
-/// Parallel mode keeps the event order bit-identical to sequential (the
-/// partitioned clock merges on globally sequenced `(time, seq)` keys) but
-/// changes *when* the atomic claim policy rescans its pending set: instead
-/// of rescanning after every completion, rescans are deferred to the end
-/// of each timestamp batch and executed as one pass, prefiltered by a
-/// work-stealing feasibility scan across `threads` workers. Makespans can
-/// therefore differ from sequential only through same-timestamp
-/// arbitration; see the "parallel arbitration contract" in
-/// `docs/ARCHITECTURE.md` for the exact bounds.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The historical single-threaded loop (the conformance reference).
-    #[default]
-    Sequential,
-    /// Timestamp-batched claims with a parallel feasibility scan.
-    Parallel {
-        /// Worker threads for the feasibility scan (< 2 degrades to
-        /// batched-but-inline scanning).
-        threads: usize,
-    },
-}
-
 /// Run `programs` (one per node of `topo`) to completion on the paper's
-/// machine: uniform link costs, the sequential engine, no trace.
+/// machine: uniform link costs, no trace.
 ///
 /// # Errors
 ///
@@ -60,15 +35,7 @@ pub fn simulate<T: Topology + ?Sized>(
     params: &MachineParams,
     programs: Vec<Program>,
 ) -> Result<SimReport, SimError> {
-    simulate_with(
-        topo,
-        params,
-        &LinkCostModel::Uniform,
-        programs,
-        ExecMode::Sequential,
-        false,
-    )
-    .map(|(report, _)| report)
+    simulate_with(topo, params, &LinkCostModel::Uniform, programs, false).map(|(report, _)| report)
 }
 
 /// [`simulate`] with every knob explicit.
@@ -77,7 +44,6 @@ pub fn simulate<T: Topology + ?Sized>(
 ///   where the fabric permits ([`Topology::route_avoiding`]) and fail
 ///   with [`SimError::LinkDown`] where it does not.
 ///   `LinkCostModel::Uniform` is byte-identical to [`simulate`].
-/// * `mode` picks the sequential reference loop or the parallel mode.
 /// * `traced` records the full execution trace; untraced runs return an
 ///   empty one.
 ///
@@ -90,10 +56,9 @@ pub fn simulate_with<T: Topology + ?Sized>(
     params: &MachineParams,
     cost: &LinkCostModel,
     programs: Vec<Program>,
-    mode: ExecMode,
     traced: bool,
 ) -> Result<(SimReport, Vec<TraceEvent>), SimError> {
-    let (report, trace) = Sim::new(topo, params, cost, programs, traced, mode)?.run()?;
+    let (report, trace) = Sim::new(topo, params, cost, programs, traced)?.run()?;
     Ok((report, trace.unwrap_or_default()))
 }
 
@@ -110,23 +75,15 @@ pub(crate) struct Sim<'a, T: ?Sized> {
     pub(crate) cost: &'a LinkCostModel,
     pub(crate) programs: Vec<Program>,
     pub(crate) n: usize,
-    pub(crate) queue: Clock,
+    pub(crate) queue: EventQueue,
     pub(crate) now: u64,
     pub(crate) nodes: Vec<NodeState>,
     pub(crate) transfers: TransferArena,
-    /// Atomic-policy pending transfers, oldest first.
-    pub(crate) pending: Vec<TransferId>,
+    /// Atomic-policy pending transfers: ready, or parked on a blocker.
+    pub(crate) wakeups: Wakeups,
     pub(crate) router: Router,
     pub(crate) rendezvous: HashMap<(u32, u32, u32), ExchangeHalf>,
-    /// Parallel mode: defer pending rescans to the end of the timestamp
-    /// batch instead of running them inline.
-    pub(crate) batched: bool,
-    /// A deferred rescan is owed before the clock may advance.
-    pub(crate) scan_due: bool,
-    /// Worker count for the parallel feasibility scan.
-    pub(crate) par_threads: usize,
-    /// Lazily spawned scan workers (parallel mode, large batches only).
-    pub(crate) scan_pool: Option<ScanPool>,
+    pub(crate) claim_checks: u64,
     pub(crate) stats_transfers: u64,
     pub(crate) stats_blocked: u64,
     pub(crate) stats_blocked_ns: u64,
@@ -145,7 +102,6 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
         cost: &'a LinkCostModel,
         programs: Vec<Program>,
         traced: bool,
-        mode: ExecMode,
     ) -> Result<Self, SimError> {
         params.validate().map_err(SimError::BadParams)?;
         let n = topo.num_nodes();
@@ -181,31 +137,20 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                 }
             }
         }
-        let (queue, batched, par_threads) = match mode {
-            ExecMode::Sequential => (Clock::Single(EventQueue::new()), false, 0),
-            ExecMode::Parallel { threads } => (
-                Clock::Partitioned(PartitionedQueue::new(threads.max(1), n)),
-                true,
-                threads,
-            ),
-        };
         Ok(Sim {
             topo,
             params,
             cost,
             programs,
             n,
-            queue,
+            queue: EventQueue::new(),
             now: 0,
             nodes: (0..n).map(|_| NodeState::new()).collect(),
             transfers: TransferArena::new(),
-            pending: Vec::new(),
+            wakeups: Wakeups::new(n, topo.link_count()),
             router: Router::new(n, topo.link_count(), params.ports),
             rendezvous: HashMap::new(),
-            batched,
-            scan_due: false,
-            par_threads,
-            scan_pool: None,
+            claim_checks: 0,
             stats_transfers: 0,
             stats_blocked: 0,
             stats_blocked_ns: 0,
@@ -224,29 +169,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
         for i in 0..self.n {
             self.schedule_resume(i);
         }
-        loop {
-            // Parallel mode: a deferred pending-set rescan runs once per
-            // timestamp batch, after every event at `now` has fired and
-            // before the clock advances (or the queue drains — deadlock
-            // detection must not see a scan still owed). The rescan may
-            // spawn new same-time events, so loop back rather than pop.
-            if self.batched && self.scan_due {
-                let batch_done = match self.queue.next_time() {
-                    None => true,
-                    Some(t) => t > self.now,
-                };
-                if batch_done {
-                    self.scan_due = false;
-                    self.retry_pending_batched();
-                    if let Some(err) = self.err.take() {
-                        return Err(err);
-                    }
-                    continue;
-                }
-            }
-            let Some((t, kind)) = self.queue.pop() else {
-                break;
-            };
+        while let Some((t, kind)) = self.queue.pop() {
             self.now = t;
             self.last_activity_ns = self.last_activity_ns.max(t);
             self.events += 1;
@@ -264,16 +187,7 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                 EvKind::XferAdvance(id) => match self.transfers[id].state {
                     // A deferred request (send-initiation overhead elapsed):
                     // enter the claim machinery of the active policy.
-                    TState::Pending => match self.params.claim {
-                        ClaimPolicy::Atomic => {
-                            self.pending.push(id);
-                            self.request_retry();
-                        }
-                        ClaimPolicy::HoldAndWait => {
-                            self.transfers[id].state = TState::Claiming;
-                            self.hw_advance(id);
-                        }
-                    },
+                    TState::Pending => self.request_claim(id),
                     _ => self.hw_advance(id),
                 },
             }
@@ -311,8 +225,11 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
             link_busy_ns_max,
             copies: self.stats_copies,
             events: self.events,
+            claim_checks: self.claim_checks,
             peak_transfers_live: self.transfers.peak_live() as u64,
-            state_bytes: (self.router.resident_bytes() + self.transfers.resident_bytes()) as u64,
+            state_bytes: (self.router.resident_bytes()
+                + self.transfers.resident_bytes()
+                + self.wakeups.resident_bytes()) as u64,
         };
         Ok((
             SimReport {
@@ -342,28 +259,17 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
         }
     }
 
-    /// Enqueue an event, routing it to its home partition (the node whose
-    /// program it belongs to: a resume's node, a transfer event's sender).
-    /// The single-queue clock ignores the home.
-    pub(crate) fn push_event(&mut self, time: u64, kind: EvKind) {
-        let home = match kind {
-            EvKind::Resume(node) => node,
-            EvKind::XferDone(id) | EvKind::XferAdvance(id) => self.transfers[id].src as usize,
-        };
-        self.queue.push(time, kind, home);
-    }
-
     pub(crate) fn schedule_resume(&mut self, node: usize) {
         if !self.nodes[node].resume_scheduled {
             self.nodes[node].resume_scheduled = true;
-            self.push_event(self.now, EvKind::Resume(node));
+            self.queue.push(self.now, EvKind::Resume(node));
         }
     }
 
     pub(crate) fn schedule_resume_at(&mut self, node: usize, at: u64) {
         // Timed resumes (compute/overhead) bypass the dedup flag on purpose:
         // the node is mid-instruction and cannot be woken by anything else.
-        self.push_event(at, EvKind::Resume(node));
+        self.queue.push(at, EvKind::Resume(node));
     }
 
     pub(crate) fn error(&mut self, node: usize, msg: String) {
@@ -482,10 +388,11 @@ impl<'a, T: Topology + ?Sized> Sim<'a, T> {
                     .recvs
                     .insert((src, tag.0), RecvState::Posted);
                 self.nodes[node].unfinished_recvs += 1;
-                // A hold-and-wait transfer may be parked waiting for this post.
+                // A transfer may be parked waiting for this post.
                 self.check_delivery_waiters(node);
                 if self.params.claim == ClaimPolicy::Atomic {
-                    self.request_retry();
+                    self.wakeups.wake(&self.transfers, Blocker::Delivery(node));
+                    self.retry_pending();
                 }
             }
             Some(RecvState::Buffered(bytes)) => {

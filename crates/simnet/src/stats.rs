@@ -40,6 +40,11 @@ pub struct SimStats {
     pub copies: u64,
     /// Number of events processed.
     pub events: u64,
+    /// Atomic claim feasibility checks performed: one per pending
+    /// transfer examined by a claim pass. A blocked transfer is
+    /// re-checked only when its blocker is released, so this stays a
+    /// small multiple of `transfers` even on dense traffic.
+    pub claim_checks: u64,
     /// High-water mark of concurrently in-flight transfers (the arena's
     /// peak slot occupancy — what live memory actually tracks).
     pub peak_transfers_live: u64,

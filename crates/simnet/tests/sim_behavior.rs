@@ -5,8 +5,8 @@
 
 use hypercube::{Hypercube, NodeId};
 use simnet::{
-    simulate, simulate_with, ExecMode, LinkCostModel, MachineParams, Program, ProgramBuilder,
-    SimError, Tag, TraceKind,
+    simulate, simulate_with, LinkCostModel, MachineParams, PortModel, Program, ProgramBuilder,
+    SimError, Tag, TraceEvent, TraceKind,
 };
 
 fn params() -> MachineParams {
@@ -479,15 +479,8 @@ fn hold_and_wait_tree_saturation_hurts_more() {
 fn trace_records_lifecycle() {
     let cube = Hypercube::new(1);
     let (s, r) = send_recv_pair(256);
-    let (_, trace) = simulate_with(
-        &cube,
-        &params(),
-        &LinkCostModel::Uniform,
-        vec![s, r],
-        ExecMode::Sequential,
-        true,
-    )
-    .unwrap();
+    let (_, trace) =
+        simulate_with(&cube, &params(), &LinkCostModel::Uniform, vec![s, r], true).unwrap();
     let kinds: Vec<TraceKind> = trace.iter().map(|e| e.kind).collect();
     assert!(kinds.contains(&TraceKind::Requested));
     assert!(kinds.contains(&TraceKind::Started));
@@ -515,4 +508,231 @@ fn makespan_includes_unawaited_sends() {
     r.post_recv(NodeId(0), Tag(0));
     let report = simulate(&cube, &p, vec![s.build(), r.build()]).unwrap();
     assert!(report.makespan_ns >= p.wire_ns(100_000));
+}
+
+// -- wake sources of the atomic claim pass ---------------------------------
+//
+// A blocked transfer waits on the first resource that blocked it and is
+// re-checked when that resource is released. Each scenario below has a
+// single such blocker and pins when the woken transfer starts.
+
+/// The paper's machine without send, post and per-hop overheads, so that
+/// start times are sums of wire and copy times.
+fn bare() -> MachineParams {
+    MachineParams {
+        send_overhead_ns: 0,
+        recv_post_ns: 0,
+        hop_ns: 0,
+        ..params()
+    }
+}
+
+fn traced<T: hypercube::Topology>(
+    topo: &T,
+    params: &MachineParams,
+    programs: Vec<Program>,
+) -> Vec<TraceEvent> {
+    simulate_with(topo, params, &LinkCostModel::Uniform, programs, true)
+        .unwrap()
+        .1
+}
+
+/// When the first `src -> dst` transfer with `tag` started.
+fn started(trace: &[TraceEvent], src: u32, dst: u32, tag: u32) -> u64 {
+    trace
+        .iter()
+        .find(|e| {
+            e.kind == TraceKind::Started
+                && (e.src, e.dst, e.tag) == (NodeId(src), NodeId(dst), Tag(tag))
+        })
+        .unwrap_or_else(|| panic!("P{src}->P{dst} tag={tag} never started"))
+        .time_ns
+}
+
+/// Receiver program: post one buffer per `(src, tag)`, then wait for all.
+fn receiver(from: &[(u32, u32)]) -> Program {
+    let mut b = Program::builder();
+    for &(src, tag) in from {
+        b.post_recv(NodeId(src), Tag(tag));
+    }
+    b.wait_all_recvs();
+    b.build()
+}
+
+const LONG: u32 = 20_000;
+
+#[test]
+fn issue_order_wakes_the_next_long_message() {
+    // P0's first long message waits for P1's engine (busy receiving from
+    // P3); its second, to an idle P2, may not overtake it. It is woken
+    // when the first one starts, then waits for P0's engine.
+    let cube = Hypercube::new(2);
+    let p = bare();
+    let w = p.wire_ns(LONG);
+    let mut s0 = Program::builder();
+    s0.compute(1_000);
+    s0.send_async(NodeId(1), LONG, Tag(1));
+    s0.send_async(NodeId(2), LONG, Tag(1));
+    s0.wait_all_sends();
+    let mut s3 = Program::builder();
+    s3.send(NodeId(1), LONG, Tag(0));
+    let progs = vec![
+        s0.build(),
+        receiver(&[(3, 0), (0, 1)]),
+        receiver(&[(0, 1)]),
+        s3.build(),
+    ];
+    let trace = traced(&cube, &p, progs);
+    assert_eq!(started(&trace, 3, 1, 0), 0);
+    assert_eq!(started(&trace, 0, 1, 1), w);
+    assert_eq!(started(&trace, 0, 2, 1), 2 * w);
+}
+
+#[test]
+fn sender_engine_release_wakes_a_short_message() {
+    // A short message bypasses the issue queue but still needs its
+    // sender's engine, held by the long message issued before it.
+    let cube = Hypercube::new(2);
+    let p = bare();
+    let mut s3 = Program::builder();
+    s3.send_async(NodeId(1), LONG, Tag(0));
+    s3.send_async(NodeId(2), 64, Tag(1));
+    s3.wait_all_sends();
+    let progs = vec![
+        Program::empty(),
+        receiver(&[(3, 0)]),
+        receiver(&[(3, 1)]),
+        s3.build(),
+    ];
+    let trace = traced(&cube, &p, progs);
+    assert_eq!(started(&trace, 3, 2, 1), p.wire_ns(LONG));
+}
+
+#[test]
+fn receiver_port_release_wakes_the_second_sender() {
+    // Two senders, one receiver, disjoint links: the second waits for the
+    // receiver's engine (unified) or its receive port (split).
+    for ports in [PortModel::Unified, PortModel::Split] {
+        let cube = Hypercube::new(2);
+        let p = MachineParams { ports, ..bare() };
+        let mut s1 = Program::builder();
+        s1.send(NodeId(0), LONG, Tag(0));
+        let mut s2 = Program::builder();
+        s2.send(NodeId(0), LONG, Tag(0));
+        let progs = vec![
+            receiver(&[(1, 0), (2, 0)]),
+            s1.build(),
+            s2.build(),
+            Program::empty(),
+        ];
+        let trace = traced(&cube, &p, progs);
+        assert_eq!(started(&trace, 1, 0, 0), 0, "{ports:?}");
+        assert_eq!(started(&trace, 2, 0, 0), p.wire_ns(LONG), "{ports:?}");
+    }
+}
+
+#[test]
+fn link_release_wakes_a_circuit_with_distinct_endpoints() {
+    // On a 4-cube, 1->12 routes over (1,d0),(0,d2),(4,d3) and 0->4 over
+    // (0,d2) alone: the two circuits share only that channel.
+    let cube = Hypercube::new(4);
+    let p = bare();
+    let mut progs: Vec<Program> = (0..16).map(|_| Program::empty()).collect();
+    let mut s1 = Program::builder();
+    s1.send(NodeId(12), LONG, Tag(1));
+    progs[1] = s1.build();
+    let mut s0 = Program::builder();
+    s0.compute(1_000);
+    s0.send(NodeId(4), LONG, Tag(2));
+    progs[0] = s0.build();
+    progs[12] = receiver(&[(1, 1)]);
+    progs[4] = receiver(&[(0, 2)]);
+    let trace = traced(&cube, &p, progs);
+    assert_eq!(started(&trace, 1, 12, 1), 0);
+    assert_eq!(started(&trace, 0, 4, 2), p.wire_ns(LONG));
+}
+
+#[test]
+fn finished_copy_frees_buffer_space_for_a_parked_sender() {
+    // P1's 4 KB buffer holds P0's unposted message; P2's message does not
+    // fit until P1 posts for P0 and the copy out of the buffer finishes.
+    // P1 posts for P2 only much later, so the copy is the only wake-up.
+    let cube = Hypercube::new(2);
+    let p = MachineParams {
+        buffer_bytes: Some(4096),
+        ..bare()
+    };
+    let bytes = 4000;
+    let post_at = 10_000_000;
+    let mut s0 = Program::builder();
+    s0.send(NodeId(1), bytes, Tag(0));
+    let mut s2 = Program::builder();
+    s2.compute(1_000);
+    s2.send(NodeId(1), bytes, Tag(0));
+    let mut r1 = Program::builder();
+    r1.compute(post_at);
+    r1.post_recv(NodeId(0), Tag(0));
+    r1.wait_recv(NodeId(0), Tag(0));
+    r1.compute(100_000_000);
+    r1.post_recv(NodeId(2), Tag(0));
+    r1.wait_recv(NodeId(2), Tag(0));
+    let progs = vec![s0.build(), r1.build(), s2.build(), Program::empty()];
+    let trace = traced(&cube, &p, progs);
+    assert_eq!(started(&trace, 0, 1, 0), 0);
+    assert_eq!(started(&trace, 2, 1, 0), post_at + p.copy_ns(bytes));
+}
+
+#[test]
+fn post_recv_wakes_a_message_too_big_to_buffer() {
+    // 8 KB never fits P1's 4 KB buffer: the transfer waits for the post
+    // and then lands directly.
+    let cube = Hypercube::new(1);
+    let p = MachineParams {
+        buffer_bytes: Some(4096),
+        ..bare()
+    };
+    let post_at = 5_000_000;
+    let mut s0 = Program::builder();
+    s0.send(NodeId(1), 8000, Tag(0));
+    let mut r1 = Program::builder();
+    r1.compute(post_at);
+    r1.post_recv(NodeId(0), Tag(0));
+    r1.wait_recv(NodeId(0), Tag(0));
+    let (report, trace) = simulate_with(
+        &cube,
+        &p,
+        &LinkCostModel::Uniform,
+        vec![s0.build(), r1.build()],
+        true,
+    )
+    .unwrap();
+    assert_eq!(started(&trace, 0, 1, 0), post_at);
+    assert_eq!(report.stats.nodes[1].direct_bytes, 8000);
+}
+
+#[test]
+fn buffered_arrival_wakes_a_parked_duplicate_into_its_error() {
+    // P0 sends two short messages with the same (src, tag) to P1, whose
+    // buffer already holds 4000 of 4096 bytes. The 100 B one waits for
+    // buffer space; the 50 B one fits and is buffered. That arrival
+    // changes P1's receive state under the parked duplicate, which must
+    // surface as a program error, not as a deadlock.
+    let cube = Hypercube::new(2);
+    let p = MachineParams {
+        buffer_bytes: Some(4096),
+        ..bare()
+    };
+    let mut s0 = Program::builder();
+    s0.compute(10_000_000);
+    s0.send_async(NodeId(1), 100, Tag(0));
+    s0.send_async(NodeId(1), 50, Tag(0));
+    s0.wait_all_sends();
+    let mut s2 = Program::builder();
+    s2.send(NodeId(1), 4000, Tag(9));
+    let progs = vec![s0.build(), Program::empty(), s2.build(), Program::empty()];
+    let err = simulate(&cube, &p, progs).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "program error on P1: second message (0,Tag(0)) while first is Buffered(50)"
+    );
 }

@@ -91,10 +91,7 @@ fn main() {
             )
             .expect("estimates run")
         };
-        let (des, ana) = (
-            report(&DesBackend::default()),
-            report(&AnalyticBackend::default()),
-        );
+        let (des, ana) = (report(&DesBackend), report(&AnalyticBackend::default()));
         println!(
             "{:<6} {:>12.2} {:>12.2} {:>10} {:>14.2}",
             name,

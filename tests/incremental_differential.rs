@@ -105,7 +105,7 @@ proptest! {
         let target = drift(&base, &moves);
         let delta = MatrixDelta::diff(&base, &target).unwrap();
         let k = delta.structural_count() as u64;
-        let backends: [&dyn SimBackend; 2] = [&DesBackend::default(), &AnalyticBackend::default()];
+        let backends: [&dyn SimBackend; 2] = [&DesBackend, &AnalyticBackend::default()];
         for entry in registry::all() {
             let cold_base = entry.schedule(&base, &cube, seed);
             let Some(patched) = entry.patch_schedule(&cold_base, &delta, &cube, seed) else {

@@ -140,3 +140,22 @@ fn schedule_distribution_costs_what_the_paper_says() {
         "all-gather should scale ~linearly in n: {ratio}"
     );
 }
+
+#[test]
+fn claim_checks_stay_per_transfer_constant_on_dense_traffic() {
+    // AC blasts every message at once, so at d=48 hundreds of transfers
+    // are pending at a time. A blocked transfer is re-checked only when
+    // the resource that blocked it is released, never on every
+    // completion.
+    let cube = Hypercube::new(6);
+    let params = MachineParams::ipsc860();
+    let com = workloads::random_dregular(64, 48, 1024, 1);
+    let report = run_schedule(&cube, &params, &com, &ac(&com), Scheme::S2).unwrap();
+    let per_transfer = report.stats.claim_checks as f64 / report.stats.transfers as f64;
+    assert!(
+        per_transfer <= 64.0,
+        "{per_transfer:.1} claim checks per transfer ({} checks, {} transfers)",
+        report.stats.claim_checks,
+        report.stats.transfers
+    );
+}
