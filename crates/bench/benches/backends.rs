@@ -4,14 +4,15 @@
 //! numbers.
 //!
 //! One *cell* is the grid work unit in the steady state of a big sweep:
-//! sample matrices already generated (the grid's matrix-reuse cache) and
-//! schedules already compiled (the `commcache` schedule cache, which PR'd
-//! scheduling down to a lookup — simulation is the remaining
-//! wall-clock), priced per sample under the backend
-//! ([`commrt::ExperimentRunner::run_scheduler_cell`] with a warm shared
-//! cache). Cases land in `BENCH_backend_throughput.json` as
-//! `des/<entry>` and `analytic/<entry>` (ns per cell) plus `grid/des`
-//! and `grid/analytic` (ns for the whole 5-column grid), with a
+//! schedules already compiled (the `commcache` schedule cache, which
+//! turns scheduling into a lookup — simulation is the remaining
+//! wall-clock), priced per sample under the backend. Each per-entry case
+//! is a one-column [`commrt::ExperimentGrid`] over a pre-warmed shared
+//! cache; every execution also generates the cell's sample matrices, so
+//! the cases time generation plus pricing. Cases land in
+//! `BENCH_backend_throughput.json` as `des/<entry>` and
+//! `analytic/<entry>` (ns per cell) plus `grid/des` and `grid/analytic`
+//! (ns for the whole 5-column grid, cold: no schedule cache), with a
 //! cells/sec speedup table on stdout. The analytic backend must clear
 //! 10x on the dense grid as a whole (and 3x on every individual entry —
 //! LP's event run is atypically cheap because XOR phases fuse almost
@@ -23,56 +24,46 @@ use std::sync::Arc;
 
 use commcache::{CacheConfig, SchedCache};
 use commrt::grid::WorkloadPoint;
-use commrt::{BackendKind, ExperimentGrid, ExperimentRunner, Scheme};
+use commrt::{BackendKind, ExperimentGrid};
 use commsched::registry;
-use repro_bench::{paper_cube, time_case, write_bench_json, CubeExt};
+use hypercube::Topology;
+use repro_bench::{paper_cube, time_case, write_bench_json};
 use workloads::{Generator, SampleSet};
 
 fn main() {
     let cube = paper_cube();
-    let n = cube.num_nodes_();
+    let n = cube.num_nodes();
     // Dense d=6 grid point: d = 16 messages per node, 4 KiB payloads.
     let (d, bytes) = (16, 4096);
     let samples_per_cell = 2;
     let reps = repro_bench::sample_count_or(5);
+    let point = || WorkloadPoint::shared(Generator::dregular(n, d, bytes), d, bytes, 11);
 
-    let set = SampleSet::new(11, samples_per_cell);
-    // Steady-state sweep economics: matrices generated once (the grid's
-    // reuse cache) ...
-    let matrices: Vec<_> = set
-        .seeds()
-        .map(|seed| (seed, workloads::random_dregular(n, d, bytes, seed)))
-        .collect();
-    let gen = {
-        let matrices = matrices.clone();
-        move |seed: u64| {
-            matrices
-                .iter()
-                .find(|(s, _)| *s == seed)
-                .expect("seed from the same sample set")
-                .1
-                .clone()
-        }
-    };
-    // ... and schedules compiled once (warm shared commcache).
+    // Steady-state sweep economics: schedules compiled once (warm shared
+    // commcache) for exactly the sample matrices the grid draws.
     let cache = Arc::new(SchedCache::new(CacheConfig::in_memory()));
-    for &entry in registry::primary().collect::<Vec<_>>().iter() {
-        for (seed, com) in &matrices {
-            cache.get_or_schedule(entry, com, &cube, *seed);
+    let generator = point().generator().clone();
+    for seed in SampleSet::new(11, samples_per_cell).seeds() {
+        let com = generator.generate(seed);
+        for entry in registry::primary() {
+            cache.get_or_schedule(entry, &com, &cube, seed);
         }
     }
 
     let mut cases = Vec::new();
     let mut table = Vec::new();
-    for &entry in registry::primary().collect::<Vec<_>>().iter() {
+    for entry in registry::primary() {
         let mut per_backend = Vec::new();
         for kind in BackendKind::all() {
-            let runner = ExperimentRunner::ipsc860()
+            let grid = ExperimentGrid::new()
+                .topology("hypercube(6)", paper_cube())
+                .scheduler(entry)
+                .point(point())
+                .samples(samples_per_cell)
                 .with_backend(kind)
                 .with_shared_cache(Arc::clone(&cache));
             let case = time_case(format!("{}/{}", kind.label(), entry.name()), reps, || {
-                runner
-                    .run_scheduler_cell(&cube, &set, &gen, entry, Scheme::for_scheduler(entry))
+                grid.execute()
                     .unwrap_or_else(|e| panic!("{} under {kind}: {e}", entry.name()));
             });
             per_backend.push(case.mean_ns);
@@ -88,12 +79,7 @@ fn main() {
         let grid = ExperimentGrid::new()
             .topology("hypercube(6)", paper_cube())
             .schedulers(registry::primary())
-            .point(WorkloadPoint::shared(
-                Generator::dregular(n, d, bytes),
-                d,
-                bytes,
-                11,
-            ))
+            .point(point())
             .samples(samples_per_cell)
             .with_backend(kind);
         let case = time_case(format!("grid/{}", kind.label()), reps, || {

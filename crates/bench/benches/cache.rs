@@ -23,11 +23,12 @@
 
 use commcache::{CacheConfig, Fingerprint, SchedCache};
 use commsched::registry;
-use repro_bench::{paper_cube, time_case, write_bench_json, CubeExt};
+use hypercube::Topology;
+use repro_bench::{paper_cube, time_case, write_bench_json};
 
 fn main() {
     let cube = paper_cube();
-    let n = cube.num_nodes_();
+    let n = cube.num_nodes();
     let (d, bytes) = (8, 4096);
     let com = workloads::random_dregular(n, d, bytes, 7);
     let reps = repro_bench::sample_count_or(25);

@@ -41,6 +41,7 @@ use commcache::{IncrementalCache, IncrementalConfig, InstanceKey};
 use commsched::{registry, validate_schedule, CommMatrix, MatrixDelta};
 use hypercube::Hypercube;
 use repro_bench::{time_case, write_bench_json};
+use simnet::splitmix64;
 
 struct Gates {
     speedup: Option<f64>,
@@ -73,15 +74,6 @@ fn parse_gates() -> Gates {
     gates
 }
 
-/// splitmix64 — deterministic drift; the bench prices the same variants
-/// on every run.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Retarget ~`rate` of `base`'s messages to currently-free destinations
 /// (salt-varied sizes) — the canonical drift between solver iterations.
 fn perturb(base: &CommMatrix, rate: f64, salt: u64) -> CommMatrix {
@@ -90,17 +82,21 @@ fn perturb(base: &CommMatrix, rate: f64, salt: u64) -> CommMatrix {
     let n = base.n();
     let mut out = base.clone();
     for m in 0..moves {
-        let s = mix(salt.wrapping_mul(1_000_003).wrapping_add(m as u64));
+        let s = splitmix64(salt.wrapping_mul(1_000_003).wrapping_add(m as u64));
         let (src, old_dst, _) = msgs[s as usize % msgs.len()];
         if out.get(src.0 as usize, old_dst.0 as usize) == 0 {
             continue; // already retargeted by an earlier move
         }
         out.set(src.0 as usize, old_dst.0 as usize, 0);
-        let start = mix(s ^ 0xD1F7) as usize % n;
+        let start = splitmix64(s ^ 0xD1F7) as usize % n;
         for off in 0..n {
             let dst = (start + off) % n;
             if dst != src.0 as usize && out.get(src.0 as usize, dst) == 0 {
-                out.set(src.0 as usize, dst, 64 + (mix(s ^ 0xB17E) % 4096) as u32);
+                out.set(
+                    src.0 as usize,
+                    dst,
+                    64 + (splitmix64(s ^ 0xB17E) % 4096) as u32,
+                );
                 break;
             }
         }

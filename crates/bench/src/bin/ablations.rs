@@ -19,15 +19,16 @@
 //! Run: `cargo run -p repro-bench --release --bin ablations`
 
 use commrt::grid::{ExecOptions, GridColumn, SchedulerHandle};
-use commrt::{run_schedule, ExperimentGrid, ExperimentRunner, Scheme, WorkloadPoint};
+use commrt::{run_schedule, ExperimentGrid, Scheme, WorkloadPoint};
 use commsched::{registry, Scheduler};
-use repro_bench::{paper_cube, sample_count, time_case, CubeExt};
+use hypercube::Topology;
+use repro_bench::{paper_cube, sample_count, time_case};
 use simnet::MachineParams;
 use workloads::Generator;
 
 fn main() {
     let cube = paper_cube();
-    let n = cube.num_nodes_();
+    let n = cube.num_nodes();
     let samples = sample_count().min(20);
 
     println!("=== Ablation 1: registry variants vs their canonical configuration ===");
@@ -174,10 +175,8 @@ fn main() {
                 MachineParams::ipsc860_hold_and_wait(),
             ),
         ] {
-            let mut runner = ExperimentRunner::ipsc860();
-            runner.params = params;
             let result = ExperimentGrid::new()
-                .with_runner(runner)
+                .with_params(params)
                 .with_backend(repro_bench::backend_from_env())
                 .topology("hypercube(6)", paper_cube())
                 .scheduler(ac)

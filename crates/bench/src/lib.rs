@@ -17,11 +17,11 @@
 
 pub mod simcheck;
 
-use commrt::grid::{paper_base_seed, WorkloadPoint};
-use commrt::{CellRecord, CellResult, ExperimentGrid, ExperimentRunner, Scheme};
-use commsched::{CommMatrix, Schedule, Scheduler, SchedulerKind};
-use hypercube::Hypercube;
-use workloads::{Generator, SampleSet};
+use commrt::grid::WorkloadPoint;
+use commrt::{CellRecord, ExperimentGrid};
+use commsched::Scheduler;
+use hypercube::{Hypercube, Topology};
+use workloads::Generator;
 
 /// The paper's machine: a 64-node hypercube.
 pub fn paper_cube() -> Hypercube {
@@ -55,17 +55,6 @@ pub fn sample_count_or(default: usize) -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|&v| v > 0)
         .unwrap_or(default)
-}
-
-/// Produce the schedule of `kind` for `com` (seeded where randomized) —
-/// compat shim over the registry for enum-keyed call sites.
-pub fn schedule_for(
-    kind: SchedulerKind,
-    com: &CommMatrix,
-    cube: &Hypercube,
-    seed: u64,
-) -> Schedule {
-    kind.scheduler().schedule(com, cube, seed)
 }
 
 /// The repro binaries' opt-in schedule cache, from the `IPSC_CACHE`
@@ -124,7 +113,7 @@ pub fn paper_grid(
     sizes: &[u32],
     samples: usize,
 ) -> ExperimentGrid {
-    let n = paper_cube().num_nodes_();
+    let n = paper_cube().num_nodes();
     let mut grid = ExperimentGrid::new()
         .topology("hypercube(6)", paper_cube())
         .schedulers(entries)
@@ -149,75 +138,6 @@ pub fn paper_grid(
         }
     }
     grid
-}
-
-/// Measure one `(algorithm, d, msg_bytes)` cell on the paper's machine
-/// under the entry's paper-default scheme.
-///
-/// Kept as the closure-driven reference oracle for the grid path: a
-/// [`paper_grid`] cell must equal this measurement bit-for-bit (tested
-/// below).
-///
-/// # Errors
-///
-/// Propagates the first simulation error of any sample.
-pub fn measure_cell(
-    runner: &ExperimentRunner,
-    cube: &Hypercube,
-    entry: &dyn Scheduler,
-    d: usize,
-    msg_bytes: u32,
-    samples: usize,
-) -> Result<CellResult, simnet::SimError> {
-    let n = cube.num_nodes_();
-    // Base seed mixes the cell coordinates so no two cells share samples
-    // (`Scheduler::ordinal` pins the historical per-algorithm streams).
-    let base = paper_base_seed(d, msg_bytes, entry.ordinal());
-    let set = SampleSet::new(base, samples);
-    // The paper's assumption 2: "all nodes send and receive an approximately
-    // equal number of messages" — the exactly d-regular generator (its RS_N
-    // phase counts ~d + log d only hold under that regularity).
-    runner.run_scheduler_cell(
-        cube,
-        &set,
-        &move |seed| workloads::random_dregular(n, d, msg_bytes, seed),
-        entry,
-        Scheme::for_scheduler(entry),
-    )
-}
-
-/// Convenience: measure and convert to a [`CellRecord`].
-///
-/// # Errors
-///
-/// Propagates the first simulation error of any sample.
-pub fn record_cell(
-    experiment: &str,
-    runner: &ExperimentRunner,
-    cube: &Hypercube,
-    entry: &dyn Scheduler,
-    d: usize,
-    msg_bytes: u32,
-    samples: usize,
-) -> Result<CellRecord, simnet::SimError> {
-    let cell = measure_cell(runner, cube, entry, d, msg_bytes, samples)?;
-    Ok(CellRecord::from_entry(
-        experiment, entry, d, msg_bytes, &cell,
-    ))
-}
-
-/// Extension trait covering the `num_nodes` call without importing
-/// `Topology` everywhere in the binaries.
-pub trait CubeExt {
-    /// Number of nodes.
-    fn num_nodes_(&self) -> usize;
-}
-
-impl CubeExt for Hypercube {
-    fn num_nodes_(&self) -> usize {
-        use hypercube::Topology;
-        self.num_nodes()
-    }
 }
 
 /// Wall-clock-time `f` over `reps` repetitions into a
@@ -333,6 +253,7 @@ pub fn format_density_block(d: usize, rows: &[(u32, Vec<CellRecord>)]) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commrt::grid::paper_base_seed;
     use commsched::registry;
 
     #[test]
@@ -356,30 +277,6 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, 4 * 1_000_003 + 256 * 7);
-    }
-
-    #[test]
-    fn paper_grid_cells_match_the_closure_oracle_bit_for_bit() {
-        // The grid rewrite must not move a single bit of any reproduced
-        // table: each grid cell equals the pre-grid measure_cell path.
-        let result = paper_grid(registry::primary(), &[4, 8], &[256, 1024], 2)
-            .execute()
-            .unwrap();
-        let cube = paper_cube();
-        let runner = ExperimentRunner::ipsc860();
-        for entry in registry::primary() {
-            let col = result.find_column(entry.name()).unwrap();
-            for (d, bytes) in [(4, 256), (4, 1024), (8, 256), (8, 1024)] {
-                let pi = result.point_index(d, bytes).unwrap();
-                let oracle = measure_cell(&runner, &cube, entry, d, bytes, 2).unwrap();
-                assert_eq!(
-                    result.at(col, pi).unwrap().result,
-                    oracle,
-                    "{} d={d} M={bytes}",
-                    entry.name()
-                );
-            }
-        }
     }
 
     #[test]
@@ -433,22 +330,28 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// One measured paper-machine cell: `entry` at `(d, 1 KB)` under the
+    /// environment's backend and cost-model selection.
+    fn paper_cell(name: &str, d: usize, samples: usize) -> commrt::CellResult {
+        let entry = registry::find(name).unwrap();
+        paper_grid([entry], &[d], &[1024], samples)
+            .execute()
+            .unwrap()
+            .at(0, 0)
+            .unwrap()
+            .result
+    }
+
     #[test]
     fn small_cell_measures() {
-        let cube = paper_cube();
-        let runner = ExperimentRunner::ipsc860();
-        let entry = registry::find("RS_N").unwrap();
-        let cell = measure_cell(&runner, &cube, entry, 4, 1024, 3).unwrap();
+        let cell = paper_cell("RS_N", 4, 3);
         assert!(cell.comm_ms > 0.0);
         assert!(cell.phases >= 4.0);
     }
 
     #[test]
     fn greedy_cell_measures_like_any_other_entry() {
-        let cube = paper_cube();
-        let runner = ExperimentRunner::ipsc860();
-        let entry = registry::find("GREEDY").unwrap();
-        let cell = measure_cell(&runner, &cube, entry, 4, 1024, 2).unwrap();
+        let cell = paper_cell("GREEDY", 4, 2);
         assert!(cell.comm_ms > 0.0);
         assert!(cell.phases >= 4.0);
         assert!(cell.comp_ms > 0.0);
@@ -456,25 +359,15 @@ mod tests {
 
     #[test]
     fn density_block_grows_with_the_registry() {
-        let cube = paper_cube();
-        let runner = ExperimentRunner::ipsc860();
-        let records: Vec<CellRecord> = registry::primary()
-            .map(|e| record_cell("t", &runner, &cube, e, 4, 256, 1).unwrap())
-            .collect();
+        let records = paper_grid(registry::primary(), &[4], &[256], 1)
+            .execute()
+            .unwrap()
+            .records("t");
         let block = format_density_block(4, &[(256, records)]);
         for e in registry::primary() {
             assert!(block.contains(e.name()), "missing column {}", e.name());
         }
         assert!(block.contains("# iters"));
         assert!(block.contains(" - "), "AC must show '-' footer entries");
-    }
-
-    #[test]
-    fn schedule_for_is_a_registry_shim() {
-        let cube = Hypercube::new(4);
-        let com = workloads::random_dregular(16, 3, 512, 1);
-        let via_shim = schedule_for(SchedulerKind::RsNl, &com, &cube, 5);
-        let via_registry = registry::find("RS_NL").unwrap().schedule(&com, &cube, 5);
-        assert_eq!(via_shim.phases(), via_registry.phases());
     }
 }

@@ -23,10 +23,11 @@
 //! divergence everywhere else. The model equations and the tolerance
 //! policy are documented in `docs/ARCHITECTURE.md`.
 //!
-//! Selection is threaded through the stack: [`crate::ExperimentRunner`]
-//! carries a [`BackendKind`], grid columns can override it per column
-//! ([`crate::grid::GridColumn::with_backend`]), and the repro binaries
-//! read the `IPSC_BACKEND` environment variable.
+//! Selection is threaded through the stack: [`crate::ExperimentGrid`]
+//! carries a default [`BackendKind`]
+//! ([`crate::ExperimentGrid::with_backend`]), grid columns can override it
+//! per column ([`crate::grid::GridColumn::with_backend`]), and the repro
+//! binaries read the `IPSC_BACKEND` environment variable.
 
 use std::fmt;
 
@@ -187,7 +188,7 @@ fn priced_route<T: Topology + ?Sized>(
 /// The exact backend: compile to per-node programs and replay on the
 /// discrete-event engine, with phase boundaries read off the trace.
 ///
-/// This is the same code path [`crate::ExperimentRunner`] fast-paths for
+/// This is the same code path [`crate::ExperimentGrid`] fast-paths for
 /// its default measurements (minus the trace); makespans agree exactly.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DesBackend;
@@ -656,15 +657,14 @@ static ANALYTIC: AnalyticBackend = AnalyticBackend {
 /// Which backend prices a measurement. `Copy`-cheap so runners, grid
 /// columns, and records can carry it by value.
 ///
-/// Runner-level selection is *intentionally closed* over this enum:
+/// Grid-level selection is *intentionally closed* over this enum:
 /// cells stay comparable, hashable, and stably labeled (`des` /
 /// `analytic` in grid column labels and reports), and the experiment
 /// hot path keeps its zero-cost dispatch. A third-party [`SimBackend`]
 /// implementation is still first-class for estimation — call its
 /// [`SimBackend::estimate`] directly (the conformance harness drives
 /// both built-ins exactly that way); it just cannot masquerade as a
-/// registered backend inside [`crate::ExperimentRunner`] /
-/// [`crate::ExperimentGrid`] cells.
+/// registered backend inside [`crate::ExperimentGrid`] cells.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The exact discrete-event engine ([`DesBackend`]).

@@ -1,17 +1,15 @@
-use commcache::{CacheConfig, SchedCache};
-use commsched::{CommMatrix, I860CostModel, Schedule, Scheduler};
+use commsched::{CommMatrix, I860CostModel, Schedule};
 use hypercube::Topology;
 use simnet::{LinkCostModel, MachineParams, SimError};
-use std::sync::{Arc, Mutex};
-use workloads::SampleSet;
 
 use crate::backend::{AnalyticBackend, BackendKind};
 use crate::{compile, Scheme};
 
 /// Aggregated measurements of one experiment cell (one algorithm at one
-/// `(density, message size)` point), averaged over a [`SampleSet`] exactly
-/// the way the paper aggregates: per sample, the cost is the *maximum* time
-/// spent by any processor; the cell reports the mean over samples.
+/// `(density, message size)` point), averaged over a
+/// [`workloads::SampleSet`] exactly the way the paper aggregates: per
+/// sample, the cost is the *maximum* time spent by any processor; the cell
+/// reports the mean over samples.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CellResult {
     /// Mean communication cost over samples (ms).
@@ -33,10 +31,9 @@ pub struct CellResult {
 
 impl CellResult {
     /// Aggregate per-sample outcomes exactly the way the paper aggregates
-    /// (mean over samples, min/max of the per-sample maxima). Every cell
-    /// producer — [`ExperimentRunner::run_cell`] and the grid executor —
-    /// funnels through this one function so their numbers are
-    /// bit-identical. `None` for an empty outcome list.
+    /// (mean over samples, min/max of the per-sample maxima). The grid
+    /// executor aggregates every cell through this one function. `None`
+    /// for an empty outcome list.
     pub(crate) fn aggregate(outcomes: &[SampleOutcome]) -> Option<CellResult> {
         if outcomes.is_empty() {
             return None;
@@ -68,285 +65,25 @@ impl CellResult {
     }
 }
 
-/// Runs experiment cells sample-parallel across host threads.
-///
-/// The simulator is deterministic, so unlike the paper we do not repeat
-/// each measurement `k` times — variance comes only from the sampled
-/// matrices (and scheduler seeds), which is exactly what the sample mean
-/// captures.
-#[derive(Clone, Debug)]
-pub struct ExperimentRunner {
-    /// Machine model used for every simulation.
-    pub params: MachineParams,
-    /// Cost model converting scheduler op counts to i860 milliseconds.
-    pub cost_model: I860CostModel,
-    /// Per-link cost model pricing the fabric itself
-    /// ([`simnet::LinkCostModel`]): `uniform` (the default) reproduces
-    /// the historical numbers byte-for-byte; other presets add latency,
-    /// throttle bandwidth, or take links down per directed link.
-    pub link_costs: LinkCostModel,
-    /// Simulation backend pricing every sample: the exact discrete-event
-    /// engine (default) or the fast analytic model
-    /// ([`crate::backend::BackendKind`]).
-    pub backend: BackendKind,
-    /// Worker threads (defaults to available parallelism).
-    pub threads: usize,
-    /// Opt-in schedule cache ([`ExperimentRunner::with_cache`]); `None`
-    /// compiles every schedule from scratch. Clones share the cache.
-    schedule_cache: Option<Arc<SchedCache>>,
-}
-
-/// Worker-thread default: the `IPSC_THREADS` environment variable when set
-/// to a positive integer (reproducible thread control on shared CI
-/// machines), otherwise the host's available parallelism.
-///
-/// Thread count never changes *results* — cell outputs are deterministic
-/// by construction — only wall-clock time and scheduling noise.
-pub(crate) fn default_threads() -> usize {
-    std::env::var("IPSC_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&t: &usize| t > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, usize::from))
-}
-
-impl ExperimentRunner {
-    /// Runner with the paper's machine calibration. Worker threads honour
-    /// the `IPSC_THREADS` environment override.
-    pub fn ipsc860() -> Self {
-        ExperimentRunner {
-            params: MachineParams::ipsc860(),
-            cost_model: I860CostModel::default(),
-            link_costs: LinkCostModel::Uniform,
-            backend: BackendKind::Des,
-            threads: default_threads(),
-            schedule_cache: None,
-        }
-    }
-
-    /// Select the per-link cost model for every subsequent measurement.
-    /// [`LinkCostModel::Uniform`] (the default) is byte-identical to the
-    /// historical pricing; see [`LinkCostModel::parse`] for the preset
-    /// grammar (`loggp:...`, `hetero:...`, `faulty:...`).
-    pub fn with_link_costs(mut self, link_costs: LinkCostModel) -> Self {
-        self.link_costs = link_costs;
-        self
-    }
-
-    /// Select the simulation backend for every subsequent measurement.
-    /// [`BackendKind::Des`] is exact; [`BackendKind::Analytic`] trades
-    /// documented tolerance (see `tests/backend_conformance.rs`) for
-    /// orders of magnitude more cells per second.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Attach a schedule cache built from `config`. Registry-driven paths
-    /// ([`ExperimentRunner::run_scheduler_cell`], the grid executor) then
-    /// serve repeated *(matrix, topology, scheduler, seed)* requests from
-    /// the cache instead of recompiling. Caching changes scheduling
-    /// *cost*, never *results* — schedules are deterministic functions of
-    /// the fingerprinted inputs (tested in the grid suite).
-    pub fn with_cache(self, config: CacheConfig) -> Self {
-        self.with_shared_cache(Arc::new(SchedCache::new(config)))
-    }
-
-    /// Attach an existing (possibly shared) schedule cache — e.g. one
-    /// cache warmed by `schedctl` and reused across several runners.
-    pub fn with_shared_cache(mut self, cache: Arc<SchedCache>) -> Self {
-        self.schedule_cache = Some(cache);
-        self
-    }
-
-    /// Attach a delta-aware schedule cache: fingerprint misses may be
-    /// served by patching a retained base schedule (validated, falling
-    /// back to a cold compile) instead of recompiling — the right cache
-    /// for grids over *drifting* patterns, where consecutive cells
-    /// perturb a persistent matrix. Unlike [`ExperimentRunner::with_cache`],
-    /// patched schedules may differ structurally from cold compiles (while
-    /// always validating), so byte-identical repro grids keep using the
-    /// exact cache.
-    pub fn with_incremental_cache(self, mut config: CacheConfig) -> Self {
-        if config.incremental.is_none() {
-            config.incremental = Some(commcache::IncrementalConfig::default());
-        }
-        self.with_cache(config)
-    }
-
-    /// Detach the schedule cache.
-    pub fn without_cache(mut self) -> Self {
-        self.schedule_cache = None;
-        self
-    }
-
-    /// The attached schedule cache, if any (its
-    /// [`commcache::SchedCache::stats`] snapshot reports hit rates).
-    pub fn schedule_cache(&self) -> Option<&SchedCache> {
-        self.schedule_cache.as_deref()
-    }
-
-    /// Measure one cell: generate each sample with `gen(seed)`, schedule it
-    /// with `sched(&com, seed)`, execute under `scheme`, and aggregate.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BadParams`] for an empty sample set, otherwise the
-    /// first [`SimError`] of any sample (by sample index).
-    pub fn run_cell<T: Topology + ?Sized>(
-        &self,
-        topo: &T,
-        set: &SampleSet,
-        gen: &(dyn Fn(u64) -> CommMatrix + Sync),
-        sched: &(dyn Fn(&CommMatrix, u64) -> Schedule + Sync),
-        scheme: Scheme,
-    ) -> Result<CellResult, SimError> {
-        self.run_cell_arc(
-            topo,
-            set,
-            gen,
-            &|com, seed| Arc::new(sched(com, seed)),
-            scheme,
-        )
-    }
-
-    /// [`ExperimentRunner::run_cell`] with an `Arc`-returning schedule
-    /// closure — the internal spine, so cache-served schedules are shared
-    /// by pointer instead of deep-cloned per sample.
-    fn run_cell_arc<T: Topology + ?Sized>(
-        &self,
-        topo: &T,
-        set: &SampleSet,
-        gen: &(dyn Fn(u64) -> CommMatrix + Sync),
-        sched: &(dyn Fn(&CommMatrix, u64) -> Arc<Schedule> + Sync),
-        scheme: Scheme,
-    ) -> Result<CellResult, SimError> {
-        let k = set.len();
-        if k == 0 {
-            return Err(SimError::BadParams(
-                "cannot run a cell over an empty sample set".into(),
-            ));
-        }
-        let results: Mutex<Vec<Option<Result<SampleOutcome, SimError>>>> =
-            Mutex::new(vec![None; k]);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let workers = self.threads.clamp(1, k);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= k {
-                        return;
-                    }
-                    let seed = set.seed(idx);
-                    let outcome = self.run_sample(topo, seed, gen, sched, scheme);
-                    results.lock().expect("no panics hold the lock")[idx] = Some(outcome);
-                });
-            }
-        });
-        let slots = results.into_inner().expect("no panics hold the lock");
-        let mut outcomes = Vec::with_capacity(k);
-        for o in slots {
-            outcomes.push(o.expect("worker filled every slot")?);
-        }
-        Ok(CellResult::aggregate(&outcomes).expect("k > 0 checked above"))
-    }
-
-    /// [`ExperimentRunner::run_cell`] for a registry entry: the schedule
-    /// closure is the entry's [`Scheduler::schedule`] over `topo`, and the
-    /// communication scheme is the entry's paper default
-    /// ([`crate::Scheme::for_scheduler`]).
-    ///
-    /// This is how the repro binaries enumerate the whole registry without
-    /// naming any algorithm.
-    ///
-    /// # Errors
-    ///
-    /// The first [`SimError`] of any sample (by sample index).
-    pub fn run_scheduler_cell(
-        &self,
-        topo: &dyn Topology,
-        set: &SampleSet,
-        gen: &(dyn Fn(u64) -> CommMatrix + Sync),
-        entry: &dyn Scheduler,
-        scheme: crate::Scheme,
-    ) -> Result<CellResult, SimError> {
-        match &self.schedule_cache {
-            Some(cache) => self.run_cell_arc(
-                topo,
-                set,
-                gen,
-                &|com, seed| cache.get_or_schedule(entry, com, topo, seed),
-                scheme,
-            ),
-            None => self.run_cell_arc(
-                topo,
-                set,
-                gen,
-                &|com, seed| Arc::new(entry.schedule(com, topo, seed)),
-                scheme,
-            ),
-        }
-    }
-
-    fn run_sample<T: Topology + ?Sized>(
-        &self,
-        topo: &T,
-        seed: u64,
-        gen: &dyn Fn(u64) -> CommMatrix,
-        sched: &dyn Fn(&CommMatrix, u64) -> Arc<Schedule>,
-        scheme: Scheme,
-    ) -> Result<SampleOutcome, SimError> {
-        let com = gen(seed);
-        let schedule = sched(&com, seed);
-        measure_sample(
-            &Pricing {
-                params: &self.params,
-                cost_model: &self.cost_model,
-                link_costs: &self.link_costs,
-                backend: self.backend,
-            },
-            topo,
-            &com,
-            &schedule,
-            scheme,
-        )
-    }
-}
-
-/// How one sample is priced: the machine calibration, the i860
-/// scheduling-cost model, the link-cost overlay, and the backend doing
-/// the pricing. Assembled per cell by [`ExperimentRunner::run_cell`]
-/// and the grid executor (which resolves per-column overrides first).
-pub(crate) struct Pricing<'a> {
-    pub(crate) params: &'a MachineParams,
-    pub(crate) cost_model: &'a I860CostModel,
-    pub(crate) link_costs: &'a LinkCostModel,
-    pub(crate) backend: BackendKind,
-}
-
 /// Schedule-to-numbers for one already-generated sample: price the
-/// schedule under the selected backend and the i860 cost model. Shared by
-/// [`ExperimentRunner::run_cell`] and the grid executor (which generates
-/// matrices through its reuse cache instead of a per-sample closure).
+/// schedule on `params` under `link_costs` with `backend`, and its
+/// scheduling cost under the i860 cost model. The grid executor calls it
+/// once per *(cell, sample)* task, after resolving the cell's column
+/// overrides against the grid defaults.
 ///
 /// [`BackendKind::Des`] keeps the historical fast path — compile under
 /// `scheme` and run the untraced event engine — so default measurements
 /// are bit-identical to every release before backends existed.
 /// [`BackendKind::Analytic`] skips program compilation entirely.
-pub(crate) fn measure_sample<T: Topology + ?Sized>(
-    pricing: &Pricing<'_>,
-    topo: &T,
+pub(crate) fn measure_sample(
+    params: &MachineParams,
+    link_costs: &LinkCostModel,
+    backend: BackendKind,
+    topo: &dyn Topology,
     com: &CommMatrix,
     schedule: &Schedule,
     scheme: Scheme,
 ) -> Result<SampleOutcome, SimError> {
-    let Pricing {
-        params,
-        cost_model,
-        link_costs,
-        backend,
-    } = *pricing;
     let comm_ms = match backend {
         BackendKind::Des => {
             let programs = compile(com, schedule, scheme);
@@ -361,7 +98,7 @@ pub(crate) fn measure_sample<T: Topology + ?Sized>(
     Ok(SampleOutcome {
         comm_ms,
         phases: schedule.num_phases(),
-        comp_ms: cost_model.schedule_ms(schedule),
+        comp_ms: I860CostModel::default().schedule_ms(schedule),
         exchange_pairs: schedule.exchange_pairs(),
     })
 }
@@ -377,24 +114,32 @@ pub(crate) struct SampleOutcome {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use commsched::{rs_n, rs_nl};
+    use crate::grid::{ExecOptions, ExperimentGrid, GridError, WorkloadPoint};
+    use commcache::{CacheConfig, IncrementalConfig, SchedCache};
+    use commsched::registry;
     use hypercube::Hypercube;
+    use std::sync::Arc;
+    use workloads::Generator;
+
+    /// A one-topology grid on the 16-node cube.
+    fn cube4() -> ExperimentGrid {
+        ExperimentGrid::new().topology("hypercube(4)", Hypercube::new(4))
+    }
 
     #[test]
     fn cell_aggregates_samples() {
-        let cube = Hypercube::new(4);
-        let runner = ExperimentRunner::ipsc860();
-        let set = SampleSet::new(77, 8);
-        let cell = runner
-            .run_cell(
-                &cube,
-                &set,
-                &|seed| workloads::random_dense(16, 3, 1024, seed),
-                &|com, seed| rs_n(com, seed),
-                Scheme::S2,
-            )
+        let result = cube4()
+            .scheduler(registry::find("RS_N").unwrap())
+            .point(WorkloadPoint::shared(
+                Generator::dense(16, 3, 1024),
+                3,
+                1024,
+                77,
+            ))
+            .samples(8)
+            .execute()
             .unwrap();
+        let cell = result.at(0, 0).unwrap().result;
         assert_eq!(cell.samples, 8);
         assert!(cell.comm_ms > 0.0);
         assert!(cell.comm_ms_min <= cell.comm_ms && cell.comm_ms <= cell.comm_ms_max);
@@ -403,54 +148,23 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_cell_matches_closure_cell() {
-        // The registry-driven entry point must measure exactly what the
-        // closure-driven one measures for the same algorithm and seeds.
-        let cube = Hypercube::new(4);
-        let runner = ExperimentRunner::ipsc860();
-        let set = SampleSet::new(5, 4);
-        let gen = |seed| workloads::random_dense(16, 3, 2048, seed);
-        let entry = commsched::registry::find("RS_NL").unwrap();
-        let via_registry = runner
-            .run_scheduler_cell(
-                &cube,
-                &set,
-                &gen,
-                entry,
-                crate::Scheme::for_scheduler(entry),
-            )
-            .unwrap();
-        let via_closure = runner
-            .run_cell(
-                &cube,
-                &set,
-                &gen,
-                &|com, seed| rs_nl(com, &Hypercube::new(4), seed),
-                Scheme::S1,
-            )
-            .unwrap();
-        assert_eq!(via_registry, via_closure);
-    }
-
-    #[test]
     fn every_registry_entry_runs_end_to_end() {
         // GREEDY and the ablation variants are first-class runtime citizens,
         // not just schedule factories.
-        let cube = Hypercube::new(4);
-        let runner = ExperimentRunner::ipsc860();
-        let set = SampleSet::new(9, 2);
-        let gen = |seed| workloads::random_dense(16, 3, 1024, seed);
-        for &entry in commsched::registry::all() {
-            let cell = runner
-                .run_scheduler_cell(
-                    &cube,
-                    &set,
-                    &gen,
-                    entry,
-                    crate::Scheme::for_scheduler(entry),
-                )
-                .unwrap_or_else(|e| panic!("{}: {e}", entry.name()));
-            assert!(cell.comm_ms > 0.0, "{}", entry.name());
+        let result = cube4()
+            .schedulers(registry::all().iter().copied())
+            .point(WorkloadPoint::shared(
+                Generator::dense(16, 3, 1024),
+                3,
+                1024,
+                9,
+            ))
+            .samples(2)
+            .execute()
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(result.row(0).count(), registry::all().len());
+        for cell in result.row(0) {
+            assert!(cell.result.comm_ms > 0.0, "{}", cell.algorithm);
         }
     }
 
@@ -458,41 +172,38 @@ mod tests {
     fn cached_scheduler_cells_match_uncached_bit_for_bit() {
         // Caching must change cost only: every registry entry's cell is
         // identical with and without the schedule cache, and re-running
-        // the cached cell hits instead of recompiling.
-        let cube = Hypercube::new(4);
-        let plain = ExperimentRunner::ipsc860();
-        let cached = ExperimentRunner::ipsc860().with_cache(commcache::CacheConfig::in_memory());
-        let set = SampleSet::new(13, 3);
-        let gen = |seed| workloads::random_dregular(16, 3, 1024, seed);
-        for &entry in commsched::registry::all() {
-            let scheme = crate::Scheme::for_scheduler(entry);
-            let a = plain
-                .run_scheduler_cell(&cube, &set, &gen, entry, scheme)
-                .unwrap();
-            let b = cached
-                .run_scheduler_cell(&cube, &set, &gen, entry, scheme)
-                .unwrap();
-            assert_eq!(a, b, "{}", entry.name());
-        }
+        // the cached grid hits instead of recompiling.
+        let grid = || {
+            cube4()
+                .schedulers(registry::all().iter().copied())
+                .point(WorkloadPoint::shared(
+                    Generator::dregular(16, 3, 1024),
+                    3,
+                    1024,
+                    13,
+                ))
+                .samples(3)
+        };
+        let plain = grid().execute().unwrap();
+        let cached = grid().with_cache(CacheConfig::in_memory());
+        let first = cached.execute().unwrap();
+        assert_eq!(
+            plain.cells().collect::<Vec<_>>(),
+            first.cells().collect::<Vec<_>>()
+        );
+        let entries = registry::all().len() as u64;
         let stats = cached.schedule_cache().unwrap().stats();
-        let entries = commsched::registry::all().len() as u64;
         assert_eq!(
             stats.misses,
             entries * 3,
             "each (entry, sample) compiled once"
         );
         // A second pass over the same cells is pure hits.
-        for &entry in commsched::registry::all() {
-            cached
-                .run_scheduler_cell(
-                    &cube,
-                    &set,
-                    &gen,
-                    entry,
-                    crate::Scheme::for_scheduler(entry),
-                )
-                .unwrap();
-        }
+        let second = cached.execute().unwrap();
+        assert_eq!(
+            plain.cells().collect::<Vec<_>>(),
+            second.cells().collect::<Vec<_>>()
+        );
         let stats = cached.schedule_cache().unwrap().stats();
         assert_eq!(stats.misses, entries * 3, "no recompilation");
         assert_eq!(stats.mem_hits, entries * 3);
@@ -500,26 +211,30 @@ mod tests {
 
     #[test]
     fn incremental_runner_patches_drifting_cells() {
-        // A grid over a drifting pattern: each cell perturbs the previous
-        // matrix slightly. Under the incremental cache the later cells
-        // are served by patching, and every measurement still comes from
-        // a schedule that validates against its own matrix (the runner's
-        // simulators would reject an invalid decomposition by producing
-        // nonsense; we check the cache counters and determinism here).
-        let cube = Hypercube::new(4);
-        let runner =
-            ExperimentRunner::ipsc860().with_incremental_cache(commcache::CacheConfig::in_memory());
-        let entry = commsched::registry::find("RS_NL").unwrap();
-        let scheme = crate::Scheme::for_scheduler(entry);
-        let set = SampleSet::new(29, 1);
+        // A sweep over a drifting pattern: each grid perturbs the previous
+        // matrix slightly. Under the incremental cache the later grids are
+        // served by patching (checked through the cache counters), and
+        // re-measuring a drifted pattern is deterministic.
+        let cache = Arc::new(SchedCache::new(CacheConfig {
+            incremental: Some(IncrementalConfig::default()),
+            ..CacheConfig::in_memory()
+        }));
+        let entry = registry::find("RS_NL").unwrap();
+        let grid = |com: &commsched::CommMatrix| {
+            cube4()
+                .with_shared_cache(Arc::clone(&cache))
+                .scheduler(entry)
+                .point(WorkloadPoint::shared(
+                    Generator::fixed("drift", com.clone()),
+                    4,
+                    1024,
+                    29,
+                ))
+                .samples(1)
+        };
         let mut base = workloads::random_dregular(16, 4, 1024, 3);
-        let mut results = Vec::new();
         for step in 0..4usize {
-            let com = base.clone();
-            let r = runner
-                .run_scheduler_cell(&cube, &set, &move |_seed| com.clone(), entry, scheme)
-                .unwrap();
-            results.push(r);
+            grid(&base).execute().unwrap();
             let from = (step * 5) % 16;
             let old_dst = (0..16).find(|&d| base.get(from, d) > 0).unwrap();
             base.set(from, old_dst, 0);
@@ -528,99 +243,66 @@ mod tests {
                 .unwrap();
             base.set(from, new_dst, 1024);
         }
-        let inc = runner
-            .schedule_cache()
-            .unwrap()
-            .incremental_stats()
-            .unwrap();
+        let inc = cache.incremental_stats().unwrap();
         assert_eq!(inc.patches, 3, "every drifted cell patched: {inc:?}");
         assert_eq!(inc.validation_rejections, 0);
-        // Re-running the drifted grid from a fresh runner sharing the
-        // cache reproduces the same results (patched schedules are cached
-        // under the exact fingerprint like any compile).
-        let shared = runner.clone();
-        let com = base.clone();
-        let r1 = runner
-            .run_scheduler_cell(
-                &cube,
-                &set,
-                &{
-                    let com = com.clone();
-                    move |_| com.clone()
-                },
-                entry,
-                scheme,
-            )
-            .unwrap();
-        let r2 = shared
-            .run_scheduler_cell(&cube, &set, &move |_| com.clone(), entry, scheme)
-            .unwrap();
-        assert_eq!(r1, r2);
-    }
-
-    #[test]
-    fn runner_clones_share_the_cache() {
-        let runner = ExperimentRunner::ipsc860().with_cache(commcache::CacheConfig::in_memory());
-        let clone = runner.clone();
-        let cube = Hypercube::new(4);
-        let com = workloads::random_dregular(16, 3, 512, 5);
-        let entry = commsched::registry::find("RS_N").unwrap();
-        runner
-            .schedule_cache()
-            .unwrap()
-            .get_or_schedule(entry, &com, &cube, 5);
-        clone
-            .schedule_cache()
-            .unwrap()
-            .get_or_schedule(entry, &com, &cube, 5);
-        assert_eq!(clone.schedule_cache().unwrap().stats().mem_hits, 1);
-        assert!(runner.without_cache().schedule_cache().is_none());
+        // Two grids sharing the cache measure the same drifted pattern
+        // identically (patched schedules are cached under the exact
+        // fingerprint like any compile).
+        let r1 = grid(&base).execute().unwrap();
+        let r2 = grid(&base).execute().unwrap();
+        assert_eq!(r1.at(0, 0).unwrap(), r2.at(0, 0).unwrap());
     }
 
     #[test]
     fn empty_sample_set_is_an_error_not_a_panic() {
-        // Regression: `self.threads.clamp(1, k)` with `k = 0` violated
-        // `clamp`'s `min <= max` contract and panicked before any sample
-        // ran; an empty set must surface as a proper error instead.
-        let cube = Hypercube::new(4);
-        let runner = ExperimentRunner::ipsc860();
-        let set = SampleSet::new(1, 0);
-        let err = runner
-            .run_cell(
-                &cube,
-                &set,
-                &|seed| workloads::random_dense(16, 3, 1024, seed),
-                &|com, seed| rs_n(com, seed),
-                Scheme::S2,
-            )
+        // Regression: clamping the worker count to `1..=k` with `k = 0`
+        // samples violated `clamp`'s `min <= max` contract and panicked
+        // before any sample ran; an empty set must surface as a proper
+        // error instead, whatever the thread count.
+        let grid = cube4()
+            .scheduler(registry::find("RS_N").unwrap())
+            .point(WorkloadPoint::shared(
+                Generator::dense(16, 3, 1024),
+                3,
+                1024,
+                1,
+            ))
+            .samples(0);
+        let err = grid
+            .execute_opts(ExecOptions {
+                threads: Some(8),
+                ..ExecOptions::default()
+            })
             .unwrap_err();
         assert!(
-            matches!(err, simnet::SimError::BadParams(_)),
+            matches!(err, GridError::Empty(_)),
             "unexpected error: {err}"
         );
-        assert!(err.to_string().contains("empty sample set"), "{err}");
+        assert!(err.to_string().contains("zero samples"), "{err}");
     }
 
     #[test]
     fn cell_results_are_deterministic_across_thread_counts() {
-        let cube = Hypercube::new(4);
-        let mut runner = ExperimentRunner::ipsc860();
-        let set = SampleSet::new(3, 6);
-        let gen = |seed| workloads::random_dense(16, 4, 512, seed);
-        let run = |r: &ExperimentRunner| {
-            r.run_cell(
-                &cube,
-                &set,
-                &gen,
-                &|com, seed| rs_nl(com, &Hypercube::new(4), seed),
-                Scheme::S1,
-            )
+        let grid = cube4()
+            .scheduler(registry::find("RS_NL").unwrap())
+            .point(WorkloadPoint::shared(
+                Generator::dense(16, 4, 512),
+                4,
+                512,
+                3,
+            ))
+            .samples(6);
+        let run = |threads| {
+            grid.execute_opts(ExecOptions {
+                threads: Some(threads),
+                ..ExecOptions::default()
+            })
             .unwrap()
+            .at(0, 0)
+            .unwrap()
+            .result
         };
-        runner.threads = 1;
-        let a = run(&runner);
-        runner.threads = 8;
-        let b = run(&runner);
-        assert_eq!(a, b);
+        assert_eq!(run(1), run(8));
     }
 }

@@ -40,14 +40,15 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use commcache::{CacheConfig, SchedCache};
 use commsched::{CommMatrix, Scheduler};
 use hypercube::Topology;
-use simnet::{LinkCostModel, SimError};
+use simnet::{LinkCostModel, MachineParams, SimError};
 use workloads::{Generator, SampleSet};
 
 use crate::backend::BackendKind;
-use crate::experiment::{measure_sample, Pricing, SampleOutcome};
-use crate::{CellRecord, CellResult, ExperimentRunner, Scheme};
+use crate::experiment::{measure_sample, SampleOutcome};
+use crate::{CellRecord, CellResult, Scheme};
 
 mod executor;
 
@@ -118,7 +119,7 @@ pub struct GridColumn {
 
 impl GridColumn {
     /// A column under the scheduler's paper-default scheme
-    /// ([`Scheme::for_scheduler`]) and the grid runner's backend.
+    /// ([`Scheme::for_scheduler`]) and the grid's backend.
     pub fn new(scheduler: impl Into<SchedulerHandle>) -> Self {
         let scheduler = scheduler.into();
         let scheme = Scheme::for_scheduler(scheduler.entry());
@@ -137,16 +138,18 @@ impl GridColumn {
         self
     }
 
-    /// Pin this column to a simulation backend, overriding the grid
-    /// runner's default. Two columns of one scheduler under different
-    /// backends make a differential grid (the `simcheck` harness's shape).
+    /// Pin this column to a simulation backend, overriding the grid's
+    /// default ([`ExperimentGrid::with_backend`]). Two columns of one
+    /// scheduler under different backends make a differential grid (the
+    /// `simcheck` harness's shape).
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = Some(backend);
         self
     }
 
     /// Pin this column to a per-link cost model
-    /// ([`simnet::LinkCostModel`]), overriding the grid runner's. One
+    /// ([`simnet::LinkCostModel`]), overriding the grid's
+    /// ([`ExperimentGrid::with_link_costs`]). One
     /// scheduler under `uniform` and under `faulty:p=0.05,seed=7` as two
     /// columns is a degradation grid — the fault-sweep figure's shape.
     pub fn with_cost_model(mut self, cost_model: LinkCostModel) -> Self {
@@ -164,23 +167,23 @@ impl GridColumn {
         self.scheme
     }
 
-    /// This column's backend override (`None` = the runner's default).
+    /// This column's backend override (`None` = the grid's default).
     pub fn backend(&self) -> Option<BackendKind> {
         self.backend
     }
 
-    /// The backend this column resolves to under a runner defaulting to
+    /// The backend this column resolves to under a grid defaulting to
     /// `default`.
     pub fn backend_for(&self, default: BackendKind) -> BackendKind {
         self.backend.unwrap_or(default)
     }
 
-    /// This column's link-cost override (`None` = the runner's default).
+    /// This column's link-cost override (`None` = the grid's default).
     pub fn cost_model(&self) -> Option<&LinkCostModel> {
         self.cost_model.as_ref()
     }
 
-    /// The link-cost model this column resolves to under a runner
+    /// The link-cost model this column resolves to under a grid
     /// defaulting to `default`.
     pub fn cost_model_for(&self, default: LinkCostModel) -> LinkCostModel {
         self.cost_model.unwrap_or(default)
@@ -317,9 +320,8 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    /// Seed of sample `k` — delegated to [`SampleSet`] so the grid and
-    /// the per-cell [`ExperimentRunner::run_cell`] path share one seed
-    /// derivation by construction.
+    /// Seed of sample `k` — delegated to [`SampleSet`], the one seed
+    /// derivation of every sampled experiment.
     pub fn sample_seed(&self, k: usize) -> u64 {
         SampleSet::new(self.base_seed, self.samples).seed(k)
     }
@@ -342,8 +344,8 @@ impl fmt::Debug for CellSpec {
 /// change the [`GridResult`] — that is tested, not hoped.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecOptions {
-    /// Worker-thread override (`None` = the runner's thread count, which
-    /// honours `IPSC_THREADS`).
+    /// Worker-thread override (`None` = [`ExperimentGrid::threads`],
+    /// which honours `IPSC_THREADS`).
     pub threads: Option<usize>,
     /// Disable the `(workload point, seed)` matrix cache, regenerating
     /// every sample per cell — only useful for measuring what reuse buys.
@@ -461,23 +463,59 @@ impl std::error::Error for GridError {
     }
 }
 
-/// The declarative grid builder. Declare axes, then [`execute`].
+/// Worker-thread default: the `IPSC_THREADS` environment variable when set
+/// to a positive integer (reproducible thread control on shared CI
+/// machines), otherwise the host's available parallelism.
+///
+/// Thread count never changes *results* — cell outputs are deterministic
+/// by construction — only wall-clock time and scheduling noise.
+fn default_threads() -> usize {
+    std::env::var("IPSC_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&t: &usize| t > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, usize::from))
+}
+
+/// The declarative grid builder and the one cell executor. Declare axes,
+/// then [`execute`].
+///
+/// The grid also carries every measurement setting. Each has one home:
+///
+/// * **Grid defaults** — machine calibration ([`with_params`]), backend
+///   ([`with_backend`]), link-cost model ([`with_link_costs`]) and schedule
+///   cache ([`with_cache`], [`with_shared_cache`]) apply to every cell.
+/// * **Column overrides** — [`GridColumn::with_scheme`],
+///   [`GridColumn::with_backend`] and [`GridColumn::with_cost_model`] win
+///   over the grid defaults for that column's cells.
+/// * **Execution knobs** — [`ExecOptions`] (thread count, matrix reuse,
+///   task order) change wall-clock time only, never a result.
+///
+/// The simulator is deterministic, so unlike the paper no measurement is
+/// repeated `k` times: variance comes only from the sampled matrices (and
+/// scheduler seeds), which is exactly what the sample mean captures.
 ///
 /// [`execute`]: ExperimentGrid::execute
+/// [`with_params`]: ExperimentGrid::with_params
+/// [`with_backend`]: ExperimentGrid::with_backend
+/// [`with_link_costs`]: ExperimentGrid::with_link_costs
+/// [`with_cache`]: ExperimentGrid::with_cache
+/// [`with_shared_cache`]: ExperimentGrid::with_shared_cache
 pub struct ExperimentGrid {
-    runner: ExperimentRunner,
     columns: Vec<GridColumn>,
     points: Vec<WorkloadPoint>,
     topologies: Vec<(String, Arc<dyn Topology>)>,
     samples: usize,
-    /// Grid-level backend override; falls back to the runner's. Stored on
-    /// the grid (not written into the runner) so builder-call order
-    /// cannot matter: `with_runner` after `with_backend` does not reset
-    /// the choice.
-    backend: Option<BackendKind>,
-    /// Grid-level link-cost override; same builder-order discipline as
-    /// `backend`.
-    link_costs: Option<LinkCostModel>,
+    /// Machine model every cell is priced on.
+    params: MachineParams,
+    /// Backend of every column that pins none.
+    backend: BackendKind,
+    /// Link-cost model of every column that pins none.
+    link_costs: LinkCostModel,
+    /// Worker threads when [`ExecOptions::threads`] is unset.
+    threads: usize,
+    /// Opt-in schedule cache; `None` compiles every schedule from scratch.
+    schedule_cache: Option<Arc<SchedCache>>,
 }
 
 impl Default for ExperimentGrid {
@@ -488,73 +526,82 @@ impl Default for ExperimentGrid {
 
 impl ExperimentGrid {
     /// An empty grid on the paper's machine calibration
-    /// ([`ExperimentRunner::ipsc860`]), 1 sample per cell.
+    /// ([`MachineParams::ipsc860`]) under the exact event engine and the
+    /// uniform link-cost model, with no schedule cache, 1 sample per cell.
+    /// Worker threads honour the `IPSC_THREADS` environment override.
     pub fn new() -> Self {
         ExperimentGrid {
-            runner: ExperimentRunner::ipsc860(),
             columns: Vec::new(),
             points: Vec::new(),
             topologies: Vec::new(),
             samples: 1,
-            backend: None,
-            link_costs: None,
+            params: MachineParams::ipsc860(),
+            backend: BackendKind::Des,
+            link_costs: LinkCostModel::Uniform,
+            threads: default_threads(),
+            schedule_cache: None,
         }
     }
 
-    /// Replace the runner (machine params, cost model, thread count).
-    pub fn with_runner(mut self, runner: ExperimentRunner) -> Self {
-        self.runner = runner;
+    /// Price every cell on this machine calibration instead of the
+    /// paper's (the ablations' port-model and claim-policy variants).
+    pub fn with_params(mut self, params: MachineParams) -> Self {
+        self.params = params;
         self
     }
 
-    /// Attach a schedule cache to the grid's runner
-    /// ([`ExperimentRunner::with_cache`]): cells that request the same
-    /// *(matrix, topology, scheduler, seed)* — scheme-ablation columns of
-    /// a shared-seed point, or re-executions against a persistent store —
-    /// hit the cache instead of rescheduling. The [`GridResult`] is
-    /// byte-identical with the cache on or off (tested); only scheduling
-    /// cost changes.
-    pub fn with_cache(mut self, config: commcache::CacheConfig) -> Self {
-        self.runner = self.runner.with_cache(config);
-        self
-    }
-
-    /// The grid's runner — e.g. to read
-    /// [`ExperimentRunner::schedule_cache`] stats after an execution.
-    pub fn runner(&self) -> &ExperimentRunner {
-        &self.runner
-    }
-
-    /// Set the default simulation backend for every column that does not
-    /// pin its own ([`GridColumn::with_backend`]). The repro binaries
-    /// wire this to the `IPSC_BACKEND` environment variable. Takes
-    /// precedence over the runner's backend and survives a later
-    /// [`ExperimentGrid::with_runner`] — builder-call order never changes
-    /// which substrate prices the cells.
+    /// Set the simulation backend of every column that does not pin its
+    /// own ([`GridColumn::with_backend`]). [`BackendKind::Des`] (the
+    /// default) is exact; [`BackendKind::Analytic`] trades documented
+    /// tolerance (see `tests/backend_conformance.rs`) for orders of
+    /// magnitude more cells per second. The repro binaries wire this to
+    /// the `IPSC_BACKEND` environment variable.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = Some(backend);
+        self.backend = backend;
         self
     }
 
-    /// The backend grid cells default to: the grid-level override when
-    /// set, otherwise the runner's.
-    pub fn default_backend(&self) -> BackendKind {
-        self.backend.unwrap_or(self.runner.backend)
-    }
-
-    /// Set the default per-link cost model for every column that does not
-    /// pin its own ([`GridColumn::with_cost_model`]). The repro binaries
-    /// wire this to the `IPSC_COSTMODEL` environment variable. Same
-    /// builder-order discipline as [`ExperimentGrid::with_backend`].
+    /// Set the per-link cost model of every column that does not pin its
+    /// own ([`GridColumn::with_cost_model`]). [`LinkCostModel::Uniform`]
+    /// (the default) is byte-identical to the historical pricing; see
+    /// [`LinkCostModel::parse`] for the preset grammar. The repro binaries
+    /// wire this to the `IPSC_COSTMODEL` environment variable.
     pub fn with_link_costs(mut self, link_costs: LinkCostModel) -> Self {
-        self.link_costs = Some(link_costs);
+        self.link_costs = link_costs;
         self
     }
 
-    /// The link-cost model grid cells default to: the grid-level override
-    /// when set, otherwise the runner's.
-    pub fn default_link_costs(&self) -> LinkCostModel {
-        self.link_costs.unwrap_or(self.runner.link_costs)
+    /// Attach a schedule cache built from `config`: cells that request
+    /// the same *(matrix, topology, scheduler, seed)* — scheme-ablation
+    /// columns of a shared-seed point, or re-executions against a
+    /// persistent store — hit the cache instead of rescheduling. The
+    /// exact cache leaves the [`GridResult`] byte-identical (tested); only
+    /// scheduling cost changes. A config with
+    /// [`CacheConfig::incremental`] set may serve a miss by patching a
+    /// retained base schedule (always validated), which suits sweeps over
+    /// drifting patterns but may differ structurally from a cold compile.
+    pub fn with_cache(self, config: CacheConfig) -> Self {
+        self.with_shared_cache(Arc::new(SchedCache::new(config)))
+    }
+
+    /// Attach an existing (possibly shared) schedule cache — e.g. one
+    /// cache warmed by `schedctl` or by another grid.
+    pub fn with_shared_cache(mut self, cache: Arc<SchedCache>) -> Self {
+        self.schedule_cache = Some(cache);
+        self
+    }
+
+    /// The attached schedule cache, if any (its [`SchedCache::stats`]
+    /// snapshot reports hit rates after an execution).
+    pub fn schedule_cache(&self) -> Option<&SchedCache> {
+        self.schedule_cache.as_deref()
+    }
+
+    /// Worker threads an execution uses when [`ExecOptions::threads`] is
+    /// unset: `IPSC_THREADS` when it is a positive integer, otherwise the
+    /// host's available parallelism.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Samples aggregated per cell.
@@ -687,7 +734,7 @@ impl ExperimentGrid {
         }
         let cache = MatrixCache::default();
         let reuse = !opts.no_matrix_reuse;
-        let threads = opts.threads.unwrap_or(self.runner.threads);
+        let threads = opts.threads.unwrap_or(self.threads);
         let outcomes: Vec<Result<SampleOutcome, SimError>> =
             executor::run_work_stealing(threads, &order, |t| {
                 let spec = &specs[t / self.samples];
@@ -711,18 +758,15 @@ impl ExperimentGrid {
                 // With a cache attached, duplicate (matrix, topology,
                 // scheduler, seed) requests — scheme-ablation columns,
                 // persistent-store re-runs — reuse the compiled schedule.
-                let schedule = match self.runner.schedule_cache() {
+                let schedule = match &self.schedule_cache {
                     Some(cache) => cache.get_or_schedule(entry, &com, topo, seed),
                     None => Arc::new(entry.schedule(&com, topo, seed)),
                 };
                 measure_sample(
-                    &Pricing {
-                        params: &self.runner.params,
-                        cost_model: &self.runner.cost_model,
-                        link_costs: &spec.column.cost_model_for(self.default_link_costs()),
-                        backend: spec.column.backend_for(self.default_backend()),
-                    },
-                    spec.topology.as_ref(),
+                    &self.params,
+                    &spec.column.cost_model_for(self.link_costs),
+                    spec.column.backend_for(self.backend),
+                    topo,
                     &com,
                     &schedule,
                     spec.column.scheme,
@@ -828,11 +872,9 @@ impl MatrixCache {
 fn shuffle(order: &mut [usize], seed: u64) {
     let mut state = seed;
     let mut next = || {
+        let z = simnet::splitmix64(state);
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     };
     for i in (1..order.len()).rev() {
         let j = (next() % (i as u64 + 1)) as usize;
@@ -983,37 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn per_scheduler_points_keep_historic_streams_and_match_run_cell() {
-        // A PerScheduler grid cell must equal the pre-grid
-        // run_scheduler_cell path bit-for-bit.
-        let cube = Hypercube::new(4);
-        let entry = registry::find("RS_NL").unwrap();
-        let result = ExperimentGrid::new()
-            .topology("hypercube(4)", Hypercube::new(4))
-            .scheduler(entry)
-            .point(WorkloadPoint::per_scheduler(
-                Generator::dregular(16, 3, 2048),
-                3,
-                2048,
-            ))
-            .samples(4)
-            .execute()
-            .unwrap();
-        let runner = ExperimentRunner::ipsc860();
-        let set = SampleSet::new(paper_base_seed(3, 2048, entry.ordinal()), 4);
-        let reference = runner
-            .run_scheduler_cell(
-                &cube,
-                &set,
-                &|seed| workloads::random_dregular(16, 3, 2048, seed),
-                entry,
-                Scheme::for_scheduler(entry),
-            )
-            .unwrap();
-        assert_eq!(result.at(0, 0).unwrap().result, reference);
-    }
-
-    #[test]
     fn result_is_identical_across_worker_counts_and_orders() {
         let grid = small_grid(2);
         let base = grid.execute().unwrap();
@@ -1133,7 +1144,7 @@ mod tests {
                 ..ExecOptions::default()
             })
             .unwrap();
-        let stats = grid.runner().schedule_cache().unwrap().stats();
+        let stats = grid.schedule_cache().unwrap().stats();
         assert_eq!(stats.misses, 3, "3 samples compiled once each");
         assert_eq!(stats.hits(), 3, "second column reused all of them");
         // And the two columns really measured different schemes.
@@ -1221,19 +1232,9 @@ mod tests {
     }
 
     #[test]
-    fn grid_backend_choice_survives_a_later_runner_swap() {
-        // Regression: with_backend used to write into the runner, so a
-        // subsequent with_runner silently reset the grid to DES.
-        let grid = small_grid(1)
-            .with_backend(crate::BackendKind::Analytic)
-            .with_runner(ExperimentRunner::ipsc860());
-        assert_eq!(grid.default_backend(), crate::BackendKind::Analytic);
-        // A runner that carries its own backend is honoured when the grid
-        // sets none.
-        let grid = small_grid(1)
-            .with_runner(ExperimentRunner::ipsc860().with_backend(crate::BackendKind::Analytic));
-        assert_eq!(grid.default_backend(), crate::BackendKind::Analytic);
-        // And the per-column override still wins over both.
+    fn column_backend_override_wins_over_the_grid_default() {
+        // A column pinned to a backend is priced there whatever the grid
+        // default; unpinned columns follow the grid.
         let entry = registry::find("RS_N").unwrap();
         let col = GridColumn::new(SchedulerHandle::from(entry))
             .with_backend(crate::BackendKind::Analytic);
@@ -1241,6 +1242,36 @@ mod tests {
             col.backend_for(crate::BackendKind::Des),
             crate::BackendKind::Analytic
         );
+        let point = || WorkloadPoint::shared(Generator::dregular(16, 3, 1024), 3, 1024, 7);
+        let only = |backend| {
+            ExperimentGrid::new()
+                .topology("hypercube(4)", Hypercube::new(4))
+                .scheduler(entry)
+                .point(point())
+                .with_backend(backend)
+                .execute()
+                .unwrap()
+                .at(0, 0)
+                .unwrap()
+                .result
+        };
+        let mixed = ExperimentGrid::new()
+            .topology("hypercube(4)", Hypercube::new(4))
+            .scheduler(entry)
+            .column(col)
+            .point(point())
+            .with_backend(crate::BackendKind::Des)
+            .execute()
+            .unwrap();
+        assert_eq!(
+            mixed.at(0, 0).unwrap().result,
+            only(crate::BackendKind::Des)
+        );
+        assert_eq!(
+            mixed.at(1, 0).unwrap().result,
+            only(crate::BackendKind::Analytic)
+        );
+        assert_eq!(mixed.at(1, 0).unwrap().algorithm, "RS_N@analytic");
     }
 
     #[test]
@@ -1270,9 +1301,11 @@ mod tests {
     fn grid_error_reports_the_failing_cell() {
         // Invalid machine params fail every cell; the reported failure
         // must be the deterministic first one by (cell, sample) index.
-        let mut runner = ExperimentRunner::ipsc860();
-        runner.params.long_per_byte_ns = -1.0;
-        let err = small_grid(1).with_runner(runner).execute().unwrap_err();
+        let params = MachineParams {
+            long_per_byte_ns: -1.0,
+            ..MachineParams::ipsc860()
+        };
+        let err = small_grid(1).with_params(params).execute().unwrap_err();
         match err {
             GridError::Cell {
                 id,

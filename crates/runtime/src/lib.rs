@@ -13,25 +13,24 @@
 //! * [`allgather`] implements the *concatenate* operation the paper uses to
 //!   replicate every node's send vector before runtime scheduling
 //!   (recursive doubling on the hypercube).
-//! * [`ExperimentRunner`] reproduces the paper's measurement methodology:
+//! * [`ExperimentGrid`] reproduces the paper's measurement methodology:
 //!   many independently seeded samples per configuration, cost = maximum
-//!   time over processors, averaged over samples — fanned out over host
-//!   threads.
-//! * [`ExperimentRunner::with_cache`] opts the registry-driven paths into
-//!   the [`commcache`] schedule cache: repeated *(matrix, topology,
-//!   scheduler, seed)* requests are served from a sharded in-memory LRU
-//!   (optionally backed by the persistent artifact store) instead of
-//!   rescheduling. Caching changes cost, never results — grids are
-//!   byte-identical with the cache on and off.
-//! * [`grid`] declares whole experiment *grids* — scheduler columns ×
-//!   workload points × topologies — and executes every cell on a
-//!   work-stealing pool with sample matrices generated once per
-//!   `(workload, seed)` point and shared across scheduler columns. The
-//!   repro binaries are thin renderers over [`GridResult`]s.
+//!   time over processors, averaged over samples ([`CellResult`]). It
+//!   declares whole experiment *grids* — scheduler columns × workload
+//!   points × topologies — and executes every *(cell, sample)* task on a
+//!   work-stealing pool ([`grid`]), with sample matrices generated once
+//!   per `(workload, seed)` point and shared across scheduler columns.
+//!   The repro binaries are thin renderers over [`GridResult`]s.
+//! * [`ExperimentGrid::with_cache`] opts a grid into the [`commcache`]
+//!   schedule cache: repeated *(matrix, topology, scheduler, seed)*
+//!   requests are served from a sharded in-memory LRU (optionally backed
+//!   by the persistent artifact store) instead of rescheduling. Caching
+//!   changes cost, never results — grids are byte-identical with the
+//!   cache on and off.
 //! * [`backend`] makes the simulation substrate pluggable: a
 //!   [`SimBackend`] trait with the exact event engine ([`DesBackend`])
 //!   and a fast contention-aware occupancy model ([`AnalyticBackend`]),
-//!   selectable per runner ([`ExperimentRunner::with_backend`]), per grid
+//!   selectable per grid ([`ExperimentGrid::with_backend`]), per grid
 //!   column ([`grid::GridColumn::with_backend`]), and via the
 //!   `IPSC_BACKEND` environment variable in the repro binaries. The two
 //!   are validated against each other by a differential conformance
@@ -66,7 +65,7 @@ pub use backend::{
 };
 pub use commcache::{CacheConfig, CacheStats, SchedCache};
 pub use compile::{compile, compile_ac_send_detect, run_schedule, run_schedule_traced};
-pub use experiment::{CellResult, ExperimentRunner};
+pub use experiment::CellResult;
 pub use grid::{ExperimentGrid, GridResult, WorkloadPoint};
 pub use report::{
     read_json, write_csv, write_grid_json, write_grid_markdown, write_json, CellRecord,

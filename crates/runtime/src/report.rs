@@ -48,17 +48,6 @@ impl CellRecord {
             samples: cell.samples,
         }
     }
-
-    /// [`CellRecord::from_cell`] labelled with a registry entry's name.
-    pub fn from_entry(
-        experiment: &str,
-        entry: &dyn commsched::Scheduler,
-        d: usize,
-        msg_bytes: u32,
-        cell: &CellResult,
-    ) -> Self {
-        CellRecord::from_cell(experiment, entry.name(), d, msg_bytes, cell)
-    }
 }
 
 /// Write records as CSV (with header).

@@ -20,18 +20,13 @@ pub enum Scheme {
 impl Scheme {
     /// The scheme each algorithm used for the paper's reported numbers:
     /// S1 where the algorithm exploits pairwise bidirectional exchange
-    /// (LP, RS_NL), S2 otherwise (AC, RS_N).
-    pub fn paper_default(kind: SchedulerKind) -> Scheme {
-        match kind {
+    /// (LP, RS_NL), S2 otherwise (AC, RS_N). Registry variants inherit the
+    /// scheme of their family.
+    pub fn for_scheduler(entry: &dyn Scheduler) -> Scheme {
+        match entry.family() {
             SchedulerKind::Lp | SchedulerKind::RsNl => Scheme::S1,
             SchedulerKind::Ac | SchedulerKind::RsN => Scheme::S2,
         }
-    }
-
-    /// [`Scheme::paper_default`] for a registry entry: variants inherit
-    /// the scheme of their family (exchange-fusing families run under S1).
-    pub fn for_scheduler(entry: &dyn Scheduler) -> Scheme {
-        Scheme::paper_default(entry.family())
     }
 
     /// Short label for reports.
@@ -49,10 +44,11 @@ mod tests {
 
     #[test]
     fn paper_defaults_match_section6() {
-        assert_eq!(Scheme::paper_default(SchedulerKind::Ac), Scheme::S2);
-        assert_eq!(Scheme::paper_default(SchedulerKind::Lp), Scheme::S1);
-        assert_eq!(Scheme::paper_default(SchedulerKind::RsN), Scheme::S2);
-        assert_eq!(Scheme::paper_default(SchedulerKind::RsNl), Scheme::S1);
+        let scheme = |name| Scheme::for_scheduler(commsched::registry::find(name).unwrap());
+        assert_eq!(scheme("AC"), Scheme::S2);
+        assert_eq!(scheme("LP"), Scheme::S1);
+        assert_eq!(scheme("RS_N"), Scheme::S2);
+        assert_eq!(scheme("RS_NL"), Scheme::S1);
     }
 
     #[test]
@@ -66,7 +62,7 @@ mod tests {
         for &entry in commsched::registry::all() {
             assert_eq!(
                 Scheme::for_scheduler(entry),
-                Scheme::paper_default(entry.family()),
+                Scheme::for_scheduler(entry.family().scheduler()),
                 "{}",
                 entry.name()
             );

@@ -1,25 +1,24 @@
 //! `IPSC_THREADS` environment override — isolated in its own integration
 //! binary because environment variables are process-global and the other
-//! test binaries construct runners concurrently.
+//! test binaries construct grids concurrently.
 
-use commrt::{ExperimentGrid, ExperimentRunner, WorkloadPoint};
+use commrt::{ExperimentGrid, WorkloadPoint};
 use hypercube::Hypercube;
 use workloads::Generator;
 
 #[test]
 fn ipsc_threads_overrides_the_runner_thread_count() {
     std::env::set_var("IPSC_THREADS", "3");
-    assert_eq!(ExperimentRunner::ipsc860().threads, 3);
+    assert_eq!(ExperimentGrid::new().threads(), 3);
 
     // Garbage and zero fall back to the host default.
     std::env::set_var("IPSC_THREADS", "0");
-    assert!(ExperimentRunner::ipsc860().threads >= 1);
+    assert!(ExperimentGrid::new().threads() >= 1);
     std::env::set_var("IPSC_THREADS", "not-a-number");
-    assert!(ExperimentRunner::ipsc860().threads >= 1);
+    assert!(ExperimentGrid::new().threads() >= 1);
 
-    // The override steers the grid executor too (the grid inherits the
-    // runner's thread count) — and, per the determinism guarantee, the
-    // results are identical to an unconstrained run.
+    // The override steers the grid executor — and, per the determinism
+    // guarantee, the results are identical to an unconstrained run.
     std::env::set_var("IPSC_THREADS", "2");
     let grid = || {
         ExperimentGrid::new()

@@ -32,6 +32,7 @@ use schedd::{
     Client, Endpoint, Request, Response, SchemeChoice, SubmitDeltaRequest, SubmitRequest,
     TopologySpec,
 };
+use simnet::splitmix64;
 use workloads::Generator;
 
 const USAGE: &str = "\
@@ -161,29 +162,21 @@ fn parse_args() -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// splitmix64: cheap, seedable index mixer for the duplicate pool.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Deterministic one-message drift of `base`: zero one existing
 /// message and redirect its bytes (salt-varied) to a currently-free
 /// destination, expressed as a delta against the unperturbed base.
 fn drifted_delta(base: &CommMatrix, salt: u64) -> MatrixDelta {
     let msgs: Vec<(NodeId, NodeId, u32)> = base.messages().collect();
-    let (src, old_dst, _) = msgs[mix(salt) as usize % msgs.len()];
+    let (src, old_dst, _) = msgs[splitmix64(salt) as usize % msgs.len()];
     let n = base.n();
     let mut target = base.clone();
     target.set(src.0 as usize, old_dst.0 as usize, 0);
-    let start = mix(salt ^ 0xD1F7) as usize % n;
+    let start = splitmix64(salt ^ 0xD1F7) as usize % n;
     for off in 0..n {
         let dst = (start + off) % n;
         if dst != src.0 as usize && dst != old_dst.0 as usize && base.get(src.0 as usize, dst) == 0
         {
-            let bytes = 64 + (mix(salt ^ 0xB17E) % 4096) as u32;
+            let bytes = 64 + (splitmix64(salt ^ 0xB17E) % 4096) as u32;
             target.set(src.0 as usize, dst, bytes);
             break;
         }
@@ -217,9 +210,9 @@ fn run_connection(
     while received < count {
         while sent < count && sent - received < opts.batch {
             let salt = (conn_index as u64) << 32 | sent as u64;
-            let pick = mix(salt) as usize % pool.len();
-            let drifted =
-                opts.perturb > 0.0 && (mix(salt ^ 0x5EED) as f64 / u64::MAX as f64) < opts.perturb;
+            let pick = splitmix64(salt) as usize % pool.len();
+            let drifted = opts.perturb > 0.0
+                && (splitmix64(salt ^ 0x5EED) as f64 / u64::MAX as f64) < opts.perturb;
             let request = if drifted {
                 let base = &pool[pick];
                 Request::SubmitDelta(SubmitDeltaRequest {
@@ -231,7 +224,7 @@ fn run_connection(
                     backend: base.backend,
                     seed: base.seed,
                     base: keys[pick],
-                    delta: drifted_delta(&base.matrix, mix(salt ^ 0xDE17A)),
+                    delta: drifted_delta(&base.matrix, splitmix64(salt ^ 0xDE17A)),
                     cost_model: base.cost_model,
                 })
             } else {

@@ -483,8 +483,10 @@ impl fmt::Display for LinkCostModel {
 }
 
 /// One splitmix64 step — the standard finalizer, good enough to make
-/// per-link draws statistically independent of the link numbering.
-fn splitmix64(mut z: u64) -> u64 {
+/// per-link draws statistically independent of the link numbering. The
+/// workspace's one copy: seeded drift, shuffles and seed mixing elsewhere
+/// call it through the [`crate::splitmix64`] re-export.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -79,7 +79,7 @@ mod stats;
 mod trace;
 
 pub use analytic::{LoadModel, PoolMode, TransferSpec};
-pub use cost::{CostModelError, LinkCost, LinkCostModel};
+pub use cost::{splitmix64, CostModelError, LinkCost, LinkCostModel};
 pub use params::{ClaimPolicy, MachineParams, PortModel};
 pub use program::{Op, Program, ProgramBuilder, Tag};
 pub use sim::{simulate, simulate_with};

@@ -22,7 +22,7 @@ impl SampleSet {
     ///
     /// An empty set (`count == 0`) is representable — consumers that need
     /// at least one sample must report that themselves (e.g.
-    /// `ExperimentRunner::run_cell` returns an error) rather than assume
+    /// `ExperimentGrid::execute` returns an error) rather than assume
     /// construction already rejected it.
     pub fn new(base_seed: u64, count: usize) -> Self {
         SampleSet { base_seed, count }

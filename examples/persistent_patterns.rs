@@ -23,6 +23,7 @@
 use std::time::Instant;
 
 use ipsc_sched::prelude::*;
+use ipsc_sched::simnet::splitmix64;
 
 fn main() {
     // A 64-node machine running an 8x8 partitioned-mesh halo exchange:
@@ -170,14 +171,6 @@ fn main() {
     );
 }
 
-/// splitmix64 — deterministic drift, so the example replays identically.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Retarget ~`rate` of `com`'s messages to currently-free destinations —
 /// the halo after one adaptive-refinement step.
 fn drift(com: &CommMatrix, rate: f64, salt: u64) -> CommMatrix {
@@ -186,13 +179,13 @@ fn drift(com: &CommMatrix, rate: f64, salt: u64) -> CommMatrix {
     let n = com.n();
     let mut out = com.clone();
     for m in 0..moves {
-        let s = mix(salt.wrapping_mul(1_000_003).wrapping_add(m as u64));
+        let s = splitmix64(salt.wrapping_mul(1_000_003).wrapping_add(m as u64));
         let (src, old_dst, bytes) = msgs[s as usize % msgs.len()];
         if out.get(src.index(), old_dst.index()) == 0 {
             continue; // already retargeted by an earlier move
         }
         out.set(src.index(), old_dst.index(), 0);
-        let start = mix(s ^ 0xD1F7) as usize % n;
+        let start = splitmix64(s ^ 0xD1F7) as usize % n;
         for off in 0..n {
             let dst = (start + off) % n;
             if dst != src.index() && out.get(src.index(), dst) == 0 {

@@ -14,6 +14,7 @@ use commrt::{BackendKind, ExperimentGrid, LinkCostModel};
 use commsched::registry;
 use hypercube::Hypercube;
 use repro_bench::simcheck;
+use simnet::MachineParams;
 use workloads::Generator;
 
 fn samples() -> usize {
@@ -222,10 +223,13 @@ fn bad_params_surface_as_grid_cell_errors_on_the_analytic_backend() {
     // Regression: the analytic backend validates machine parameters like
     // the event engine does — a broken calibration fails the grid with a
     // deterministic BadParams cell error instead of a silent estimate.
-    let mut runner = commrt::ExperimentRunner::ipsc860().with_backend(BackendKind::Analytic);
-    runner.params.long_per_byte_ns = -1.0;
+    let params = MachineParams {
+        long_per_byte_ns: -1.0,
+        ..MachineParams::ipsc860()
+    };
     let err = ExperimentGrid::new()
-        .with_runner(runner)
+        .with_params(params)
+        .with_backend(BackendKind::Analytic)
         .topology("hypercube(3)", Hypercube::new(3))
         .schedulers(registry::primary())
         .point(WorkloadPoint::shared(
@@ -265,11 +269,7 @@ fn schedule_cache_serves_both_backends_identically() {
             .samples(2)
             .with_backend(kind);
         if cached {
-            // `with_runner` after `with_backend`: the grid-level backend
-            // choice must survive the runner swap (regression for the
-            // silent-reset ordering hazard).
-            let runner = grid.runner().clone().with_shared_cache(cache.clone());
-            grid = grid.with_runner(runner);
+            grid = grid.with_shared_cache(cache.clone());
         }
         grid.execute().unwrap()
     };

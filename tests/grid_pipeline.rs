@@ -119,7 +119,7 @@ fn schedule_cache_changes_cost_never_results() {
             persistent.records("cache"),
             "persistent run {run}"
         );
-        warm_stats = grid.runner().schedule_cache().map(|c| c.stats());
+        warm_stats = grid.schedule_cache().map(|c| c.stats());
     }
     // The warm run compiled nothing: every schedule came from the store.
     let stats = warm_stats.unwrap();

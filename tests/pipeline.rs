@@ -10,6 +10,11 @@ fn schedule_of(kind: SchedulerKind, com: &CommMatrix, cube: &Hypercube, seed: u6
     kind.scheduler().schedule(com, cube, seed)
 }
 
+/// The paper's scheme for `kind`'s registry entry.
+fn scheme_of(kind: SchedulerKind) -> Scheme {
+    Scheme::for_scheduler(kind.scheduler())
+}
+
 fn run_all(com: &CommMatrix, cube: &Hypercube) -> Vec<(SchedulerKind, f64)> {
     let params = MachineParams::ipsc860();
     SchedulerKind::all()
@@ -17,7 +22,7 @@ fn run_all(com: &CommMatrix, cube: &Hypercube) -> Vec<(SchedulerKind, f64)> {
         .map(|kind| {
             let s = schedule_of(kind, com, cube, 17);
             validate_schedule(com, &s).expect("valid schedule");
-            let report = run_schedule(cube, &params, com, &s, Scheme::paper_default(kind))
+            let report = run_schedule(cube, &params, com, &s, scheme_of(kind))
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
             (kind, report.makespan_ms())
         })
@@ -71,7 +76,7 @@ fn bytes_are_conserved_end_to_end() {
     let com = workloads::random_dregular(32, 5, 3000, 9);
     for kind in SchedulerKind::all() {
         let s = schedule_of(kind, &com, &cube, 9);
-        let report = run_schedule(&cube, &params, &com, &s, Scheme::paper_default(kind)).unwrap();
+        let report = run_schedule(&cube, &params, &com, &s, scheme_of(kind)).unwrap();
         let delivered: u64 = report
             .stats
             .nodes
@@ -96,11 +101,11 @@ fn simulation_is_deterministic_across_runs() {
     for kind in SchedulerKind::all() {
         let a = {
             let s = schedule_of(kind, &com, &cube, 4);
-            run_schedule(&cube, &params, &com, &s, Scheme::paper_default(kind)).unwrap()
+            run_schedule(&cube, &params, &com, &s, scheme_of(kind)).unwrap()
         };
         let b = {
             let s = schedule_of(kind, &com, &cube, 4);
-            run_schedule(&cube, &params, &com, &s, Scheme::paper_default(kind)).unwrap()
+            run_schedule(&cube, &params, &com, &s, scheme_of(kind)).unwrap()
         };
         assert_eq!(a.makespan_ns, b.makespan_ns, "{}", kind.label());
         assert_eq!(a.stats.events, b.stats.events);
@@ -156,7 +161,7 @@ fn hold_and_wait_policy_end_to_end() {
     let com = workloads::random_dregular(32, 6, 8192, 5);
     for kind in SchedulerKind::all() {
         let s = schedule_of(kind, &com, &cube, 5);
-        let report = run_schedule(&cube, &params, &com, &s, Scheme::paper_default(kind))
+        let report = run_schedule(&cube, &params, &com, &s, scheme_of(kind))
             .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
         assert!(report.makespan_ns > 0);
     }
