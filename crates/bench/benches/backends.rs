@@ -27,7 +27,7 @@ use commrt::grid::WorkloadPoint;
 use commrt::{BackendKind, ExperimentGrid};
 use commsched::registry;
 use hypercube::Topology;
-use repro_bench::{paper_cube, time_case, write_bench_json};
+use repro_bench::{paper_cube, time_case, RunConfig};
 use workloads::{Generator, SampleSet};
 
 fn main() {
@@ -36,7 +36,9 @@ fn main() {
     // Dense d=6 grid point: d = 16 messages per node, 4 KiB payloads.
     let (d, bytes) = (16, 4096);
     let samples_per_cell = 2;
-    let reps = repro_bench::sample_count_or(5);
+    let config = RunConfig::from_env(5);
+    config.report();
+    let reps = config.samples;
     let point = || WorkloadPoint::shared(Generator::dregular(n, d, bytes), d, bytes, 11);
 
     // Steady-state sweep economics: schedules compiled once (warm shared
@@ -63,7 +65,7 @@ fn main() {
                 .with_backend(kind)
                 .with_shared_cache(Arc::clone(&cache));
             let case = time_case(format!("{}/{}", kind.label(), entry.name()), reps, || {
-                grid.execute()
+                grid.execute_opts(config.exec_options())
                     .unwrap_or_else(|e| panic!("{} under {kind}: {e}", entry.name()));
             });
             per_backend.push(case.mean_ns);
@@ -83,7 +85,7 @@ fn main() {
             .samples(samples_per_cell)
             .with_backend(kind);
         let case = time_case(format!("grid/{}", kind.label()), reps, || {
-            grid.execute()
+            grid.execute_opts(config.exec_options())
                 .unwrap_or_else(|e| panic!("grid under {kind}: {e}"));
         });
         grid_ns.push(case.mean_ns);
@@ -127,6 +129,6 @@ fn main() {
         "dense-grid speedup {grid_speedup:.1}x below the 10x acceptance bar"
     );
 
-    let path = write_bench_json("backend_throughput", &cases).expect("write bench json");
+    let path = criterion::write_report("backend_throughput", &cases).expect("write bench json");
     println!("wrote {}", path.display());
 }

@@ -24,14 +24,16 @@
 use commcache::{CacheConfig, Fingerprint, SchedCache};
 use commsched::registry;
 use hypercube::Topology;
-use repro_bench::{paper_cube, time_case, write_bench_json};
+use repro_bench::{paper_cube, time_case, RunConfig};
 
 fn main() {
     let cube = paper_cube();
     let n = cube.num_nodes();
     let (d, bytes) = (8, 4096);
     let com = workloads::random_dregular(n, d, bytes, 7);
-    let reps = repro_bench::sample_count_or(25);
+    let config = RunConfig::from_env(25);
+    config.report();
+    let reps = config.samples;
 
     // A generous budget: the cold loop inserts `reps` distinct keys per
     // scheduler and evictions would perturb the miss path being timed.
@@ -83,8 +85,5 @@ fn main() {
         stats.hits(),
         stats.misses
     );
-    match write_bench_json("schedule_cache", &cases) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("BENCH_schedule_cache.json not written: {e}"),
-    }
+    criterion::flush_report("schedule_cache", &cases);
 }

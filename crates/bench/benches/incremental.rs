@@ -29,50 +29,23 @@
 //! unless at least `k` (default 6) of the 8 registry entries reach an
 //! `x`-fold cold/incr speedup — schedulers with near-free cold compiles
 //! (AC, and LP whose patch is by design a fresh `lp()`-equivalent pass)
-//! are the budgeted misses.
+//! are the budgeted misses. A missed gate exits 1; an unknown flag or a
+//! count that is not a non-negative integer exits 2 before anything is
+//! measured.
 //!
 //! ```text
 //! cargo bench --bench incremental -- --expect-speedup 10
 //! ```
 
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use commcache::{IncrementalCache, IncrementalConfig, InstanceKey};
 use commsched::{registry, validate_schedule, CommMatrix, MatrixDelta};
 use hypercube::Hypercube;
-use repro_bench::{time_case, write_bench_json};
+use repro_bench::cli::{self, Gate};
+use repro_bench::{time_case, RunConfig};
 use simnet::splitmix64;
-
-struct Gates {
-    speedup: Option<f64>,
-    count: usize,
-}
-
-fn parse_gates() -> Gates {
-    let mut gates = Gates {
-        speedup: None,
-        count: 6,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut expect = |name: &str| {
-            args.next()
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("incremental: {name} expects a number");
-                    std::process::exit(2);
-                })
-        };
-        match arg.as_str() {
-            "--expect-speedup" => gates.speedup = Some(expect("--expect-speedup")),
-            "--expect-count" => gates.count = expect("--expect-count") as usize,
-            // Tolerate harness-style flags (e.g. `--bench`) so `cargo
-            // bench` invocations without gates keep working.
-            _ => {}
-        }
-    }
-    gates
-}
 
 /// Retarget ~`rate` of `base`'s messages to currently-free destinations
 /// (salt-varied sizes) — the canonical drift between solver iterations.
@@ -104,14 +77,26 @@ fn perturb(base: &CommMatrix, rate: f64, salt: u64) -> CommMatrix {
     out
 }
 
-fn main() {
-    let gates = parse_gates();
+fn main() -> ExitCode {
+    let args = cli::checked_args(
+        "incremental",
+        &["--expect-speedup", "--expect-count"],
+        &["--bench"],
+    );
+    let usage = |e: String| -> ! { cli::usage_error("incremental", &e) };
+    let expect_speedup: Option<f64> =
+        cli::opt_parsed(&args, "--expect-speedup").unwrap_or_else(|e| usage(e));
+    let expect_count: usize = cli::opt_parsed(&args, "--expect-count")
+        .unwrap_or_else(|e| usage(e))
+        .unwrap_or(6);
     let cube = Hypercube::new(8);
     let n = 256usize;
     let (d, bytes) = (48, 4096);
     let seed = 7u64;
     let base = workloads::random_dregular(n, d, bytes, seed);
-    let reps = repro_bench::sample_count_or(10);
+    let config = RunConfig::from_env(10);
+    config.report();
+    let reps = config.samples;
 
     // The drifted variants and their deltas, generated up front: in a
     // drifting loop the delta is the *input* (clients ship it in
@@ -200,25 +185,18 @@ fn main() {
         stats.validation_rejections, 0,
         "a patched schedule failed the validation gate"
     );
-    match write_bench_json("incremental", &cases) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("BENCH_incremental.json not written: {e}"),
-    }
+    criterion::flush_report("incremental", &cases);
 
-    if let Some(expect) = gates.speedup {
+    let mut gate = Gate::new("incremental");
+    if let Some(expect) = expect_speedup {
         let reached = table.iter().filter(|(_, _, _, _, s)| *s >= expect).count();
-        if reached < gates.count {
-            eprintln!(
-                "incremental: FAIL only {reached}/{} entries reached {expect:.0}x (need {})",
+        let what = format!("entries of {} at >= {expect:.0}x", table.len());
+        if gate.at_least(&what, reached as f64, Some(expect_count as f64)) {
+            println!(
+                "gate: {reached}/{} entries at >= {expect:.0}x (need {expect_count}) — ok",
                 table.len(),
-                gates.count
             );
-            std::process::exit(1);
         }
-        println!(
-            "gate: {reached}/{} entries at >= {expect:.0}x (need {}) — ok",
-            table.len(),
-            gates.count
-        );
     }
+    gate.finish()
 }

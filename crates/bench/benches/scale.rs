@@ -15,7 +15,8 @@
 //!   The `--expect-des-d10-wall-ms` gate bounds the d=10 run's mean wall
 //!   time.
 //!
-//! Gates (all optional, for CI exit-code enforcement):
+//! Gates (all optional, for CI exit-code enforcement; a missed gate
+//! exits 1, an unknown flag exits 2 before anything is measured):
 //!
 //! ```text
 //! cargo bench --bench scale -- --expect-analytic-growth 2.0 \
@@ -24,11 +25,14 @@
 //!
 //! `REPRO_SAMPLES` overrides the repetition count (default 3).
 
+use std::process::ExitCode;
+
 use commrt::{DesBackend, Scheme, SimBackend};
 use commsched::registry;
 use criterion::black_box;
 use hypercube::{Hypercube, NodeId, Topology};
-use repro_bench::{time_case, write_bench_json};
+use repro_bench::cli::{self, Gate};
+use repro_bench::{time_case, RunConfig};
 use simnet::{LinkCostModel, LoadModel, PortModel, TransferSpec};
 
 /// Analytic sweep: d=6 (the paper) through d=20 (a million nodes).
@@ -37,46 +41,6 @@ const ANALYTIC_DIMS: [u32; 8] = [6, 8, 10, 12, 14, 16, 18, 20];
 const POOL_TRANSFERS: usize = 2048;
 /// DES curve; d=10 carries the wall-time gate.
 const DES_DIMS: [u32; 3] = [6, 8, 10];
-
-struct Gates {
-    analytic_growth: Option<f64>,
-    des_d10_wall_ms: Option<f64>,
-    analytic_wall_ms: Option<f64>,
-}
-
-fn parse_gates() -> Gates {
-    let mut gates = Gates {
-        analytic_growth: None,
-        des_d10_wall_ms: None,
-        analytic_wall_ms: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut expect = |name: &str| {
-            args.next()
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("scale: {name} expects a number");
-                    std::process::exit(2);
-                })
-        };
-        match arg.as_str() {
-            "--expect-analytic-growth" => {
-                gates.analytic_growth = Some(expect("--expect-analytic-growth"));
-            }
-            "--expect-des-d10-wall-ms" => {
-                gates.des_d10_wall_ms = Some(expect("--expect-des-d10-wall-ms"));
-            }
-            "--expect-analytic-wall-ms" => {
-                gates.analytic_wall_ms = Some(expect("--expect-analytic-wall-ms"));
-            }
-            // Tolerate harness-style flags (e.g. `--bench`) so `cargo
-            // bench` invocations without gates keep working.
-            _ => {}
-        }
-    }
-    gates
-}
 
 /// Deterministic random transfers on an `n`-node fabric (xorshift LCG —
 /// the bench must price the same pool on every run).
@@ -104,9 +68,20 @@ fn random_specs(n: usize, count: usize, mut state: u64) -> Vec<TransferSpec> {
     specs
 }
 
-fn main() {
-    let gates = parse_gates();
-    let reps = repro_bench::sample_count_or(3);
+const GATE_FLAGS: [&str; 3] = [
+    "--expect-analytic-growth",
+    "--expect-des-d10-wall-ms",
+    "--expect-analytic-wall-ms",
+];
+
+fn main() -> ExitCode {
+    let args = cli::checked_args("scale", &GATE_FLAGS, &["--bench"]);
+    let [growth_bound, des_bound, analytic_bound] = GATE_FLAGS.map(|flag| {
+        cli::opt_parsed::<f64>(&args, flag).unwrap_or_else(|e| cli::usage_error("scale", &e))
+    });
+    let config = RunConfig::from_env(3);
+    config.report();
+    let reps = config.samples;
     let mut cases = Vec::new();
 
     // -- analytic: fixed traffic, growing fabric ---------------------------
@@ -131,12 +106,11 @@ fn main() {
             pool.resident_bytes(),
         );
         analytic_mean.insert(dim, case.mean_ns);
-        cases.push(criterion::CaseResult {
-            name: format!("analytic_resident_bytes/d{dim}"),
-            mean_ns: pool.resident_bytes() as f64,
-            min_ns: pool.resident_bytes() as f64,
-            max_ns: pool.resident_bytes() as f64,
-        });
+        let bytes = [pool.resident_bytes() as f64];
+        cases.push(repro_bench::case(
+            format!("analytic_resident_bytes/d{dim}"),
+            &bytes,
+        ));
         cases.push(case);
     }
 
@@ -168,36 +142,21 @@ fn main() {
         cases.push(case);
     }
 
-    let path = write_bench_json("scale_sim", &cases).expect("write bench json");
+    let path = criterion::write_report("scale_sim", &cases).expect("write bench json");
     println!("wrote {}", path.display());
 
     // -- gates -------------------------------------------------------------
-    let mut failed = false;
+    let mut gate = Gate::new("scale");
     let growth = analytic_mean[&20] / analytic_mean[&14];
     println!("analytic growth d14 -> d20 (64x the nodes): {growth:.2}x the cost");
-    if let Some(bound) = gates.analytic_growth {
-        if growth > bound {
-            eprintln!("scale: FAIL analytic growth {growth:.2}x > {bound:.2}x");
-            failed = true;
-        }
-    }
+    gate.at_most("analytic growth d14 -> d20 (x)", growth, growth_bound);
     let des_ms = des_mean[&10] / 1e6;
     println!("exact engine d=10 wall: {des_ms:.3} ms");
-    if let Some(bound) = gates.des_d10_wall_ms {
-        if des_ms > bound {
-            eprintln!("scale: FAIL des-seq/d10 wall {des_ms:.3} ms > {bound:.1} ms");
-            failed = true;
-        }
-    }
-    if let Some(bound) = gates.analytic_wall_ms {
+    gate.at_most("des-seq/d10 wall (ms)", des_ms, des_bound);
+    if let Some(bound) = analytic_bound {
         let wall_ms = analytic_mean[&14] / 1e6;
         println!("analytic d=14 wall: {wall_ms:.3} ms (bound {bound:.1} ms)");
-        if wall_ms > bound {
-            eprintln!("scale: FAIL analytic d=14 wall {wall_ms:.3} ms > {bound:.1} ms");
-            failed = true;
-        }
+        gate.at_most("analytic d=14 wall (ms)", wall_ms, Some(bound));
     }
-    if failed {
-        std::process::exit(1);
-    }
+    gate.finish()
 }

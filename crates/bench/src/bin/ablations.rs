@@ -14,22 +14,26 @@
 //! scheduler column of a workload point consumes the same sampled
 //! matrices, generated once (the isomorphic-instances discipline). The
 //! reuse speedup is measured and recorded in
-//! `BENCH_grid_matrix_reuse.json`.
+//! `BENCH_grid_matrix_reuse.json`. The grids start from the
+//! [`RunConfig`] grid, so they honour every run setting; study 4 and the
+//! mesh bonus simulate single schedules on the exact engine directly.
 //!
 //! Run: `cargo run -p repro-bench --release --bin ablations`
 
 use commrt::grid::{ExecOptions, GridColumn, SchedulerHandle};
-use commrt::{run_schedule, ExperimentGrid, Scheme, WorkloadPoint};
+use commrt::{run_schedule, Scheme, WorkloadPoint};
 use commsched::{registry, Scheduler};
 use hypercube::Topology;
-use repro_bench::{paper_cube, sample_count, time_case};
+use repro_bench::{paper_cube, time_case, RunConfig};
 use simnet::MachineParams;
 use workloads::Generator;
 
 fn main() {
     let cube = paper_cube();
     let n = cube.num_nodes();
-    let samples = sample_count().min(20);
+    let mut config = RunConfig::from_env(50);
+    config.samples = config.samples.min(20);
+    config.report();
 
     println!("=== Ablation 1: registry variants vs their canonical configuration ===");
     let variant_grid = {
@@ -45,8 +49,8 @@ fn main() {
             }
         }
         columns.extend(registry::variants());
-        ExperimentGrid::new()
-            .with_backend(repro_bench::backend_from_env())
+        config
+            .grid()
             .topology("hypercube(6)", paper_cube())
             .schedulers(columns)
             .point(WorkloadPoint::shared(
@@ -64,10 +68,11 @@ fn main() {
                 32_768,
                 202,
             ))
-            .samples(samples)
     };
     {
-        let result = variant_grid.execute().unwrap_or_else(|e| panic!("{e}"));
+        let result = variant_grid
+            .execute_opts(config.exec_options())
+            .unwrap_or_else(|e| panic!("{e}"));
         for (point, wl_label) in [(0, "random d=16, 1 KB    "), (1, "symmetric halo, 32 KB")] {
             for variant in registry::variants() {
                 let base = variant.family().scheduler();
@@ -114,10 +119,7 @@ fn main() {
         let phased: Vec<&'static dyn Scheduler> = registry::primary()
             .filter(|e| e.node_contention_free())
             .collect();
-        let mut grid = ExperimentGrid::new()
-            .with_backend(repro_bench::backend_from_env())
-            .topology("hypercube(6)", paper_cube())
-            .samples(samples);
+        let mut grid = config.grid().topology("hypercube(6)", paper_cube());
         for &entry in &phased {
             for scheme in [Scheme::S1, Scheme::S2] {
                 grid =
@@ -140,7 +142,7 @@ fn main() {
                 32_768,
                 303,
             ))
-            .execute()
+            .execute_opts(config.exec_options())
             .unwrap_or_else(|e| panic!("{e}"));
         for (point, wl_label) in [(0, "random d=16, 32 KB   "), (1, "symmetric halo, 32 KB")] {
             for (i, entry) in phased.iter().enumerate() {
@@ -175,9 +177,9 @@ fn main() {
                 MachineParams::ipsc860_hold_and_wait(),
             ),
         ] {
-            let result = ExperimentGrid::new()
+            let result = config
+                .grid()
                 .with_params(params)
-                .with_backend(repro_bench::backend_from_env())
                 .topology("hypercube(6)", paper_cube())
                 .scheduler(ac)
                 .point(WorkloadPoint::shared(
@@ -186,8 +188,7 @@ fn main() {
                     32_768,
                     404,
                 ))
-                .samples(samples)
-                .execute()
+                .execute_opts(config.exec_options())
                 .expect("cell");
             let cell = result.at(0, 0).expect("measured cell");
             println!("  {label} comm = {:>8.2} ms", cell.result.comm_ms);
@@ -273,13 +274,15 @@ fn main() {
     // it next to the criterion outputs. Stderr only: stdout above is the
     // reproduced artifact.
     let reuse = time_case("ablation1_grid_reuse", 3, || {
-        variant_grid.execute().expect("grid runs");
+        variant_grid
+            .execute_opts(config.exec_options())
+            .expect("grid runs");
     });
     let no_reuse = time_case("ablation1_grid_no_reuse", 3, || {
         variant_grid
             .execute_opts(ExecOptions {
                 no_matrix_reuse: true,
-                ..Default::default()
+                ..config.exec_options()
             })
             .expect("grid runs");
     });
@@ -289,7 +292,7 @@ fn main() {
         reuse.mean_ns / 1e6,
         no_reuse.mean_ns / 1e6
     );
-    match repro_bench::write_bench_json("grid_matrix_reuse", &[reuse, no_reuse]) {
+    match criterion::write_report("grid_matrix_reuse", &[reuse, no_reuse]) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("BENCH report not written: {e}"),
     }

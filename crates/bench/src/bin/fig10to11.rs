@@ -13,15 +13,17 @@
 
 use commrt::write_csv;
 use commsched::registry;
-use repro_bench::{figure_sizes, paper_grid, sample_count, DENSITIES};
+use repro_bench::{figure_sizes, paper_grid, RunConfig, DENSITIES};
 
 fn main() {
-    let samples = sample_count().min(20);
+    let mut config = RunConfig::from_env(50);
+    config.samples = config.samples.min(20);
+    config.report();
     let sizes = figure_sizes();
 
     let entries = ["RS_N", "RS_NL"].map(|name| registry::find(name).expect("registered"));
-    let result = paper_grid(entries, &DENSITIES, &sizes, samples)
-        .execute()
+    let result = paper_grid(&config, entries, &DENSITIES, &sizes)
+        .execute_opts(config.exec_options())
         .unwrap_or_else(|e| panic!("{e}"));
 
     let mut records = Vec::new();

@@ -11,17 +11,22 @@
 
 use commrt::write_csv;
 use commsched::registry;
-use repro_bench::{paper_grid, sample_count, DENSITIES};
+use repro_bench::{paper_grid, RunConfig, DENSITIES};
 
 fn main() {
-    let samples = sample_count().min(20); // a 2-D sweep; keep it tractable
+    let mut config = RunConfig::from_env(50);
+    config.samples = config.samples.min(20); // a 2-D sweep; keep it tractable
+    config.report();
     let sizes: Vec<u32> = (6..=16).map(|x| 1u32 << x).collect(); // 64 B .. 64 KB
 
-    println!("Figure 5 reproduction: winner per (d, msg size), {samples} samples per cell");
+    println!(
+        "Figure 5 reproduction: winner per (d, msg size), {} samples per cell",
+        config.samples
+    );
     println!("(columns are log2(msg bytes) = 6..16, as in the paper's x-axis)\n");
 
-    let result = paper_grid(registry::primary(), &DENSITIES, &sizes, samples)
-        .execute()
+    let result = paper_grid(&config, registry::primary(), &DENSITIES, &sizes)
+        .execute_opts(config.exec_options())
         .unwrap_or_else(|e| panic!("{e}"));
 
     print!("{:>4} |", "d");

@@ -7,15 +7,17 @@
 
 use commrt::write_csv;
 use commsched::registry;
-use repro_bench::{figure_sizes, paper_grid, sample_count};
+use repro_bench::{figure_sizes, paper_grid, RunConfig};
 
 fn main() {
-    let samples = sample_count().min(25);
+    let mut config = RunConfig::from_env(50);
+    config.samples = config.samples.min(25);
+    config.report();
     let sizes = figure_sizes();
     let figure_for_d = [(4usize, 6u32), (8, 7), (16, 8), (32, 9)];
 
-    let result = paper_grid(registry::primary(), &[4, 8, 16, 32], &sizes, samples)
-        .execute()
+    let result = paper_grid(&config, registry::primary(), &[4, 8, 16, 32], &sizes)
+        .execute_opts(config.exec_options())
         .unwrap_or_else(|e| panic!("{e}"));
 
     let mut records = Vec::new();

@@ -11,16 +11,22 @@
 //! relative to the p=0 baseline.
 //!
 //! Run: `cargo run -p repro_bench --release --bin fig_faults`
-//! (honours `IPSC_BACKEND` and `REPRO_SAMPLES`).
+//! (honours `IPSC_BACKEND` and `REPRO_SAMPLES` from [`RunConfig`]; it
+//! prices its own fault models per cell, so `IPSC_COSTMODEL` does not
+//! apply, and it runs no grid, so neither do `IPSC_CACHE` and
+//! `IPSC_THREADS`).
 //!
-//! `--expect-completion-rate <min>` exits non-zero when the aggregate
+//! `--expect-completion-rate <min>` exits 1 when the aggregate
 //! completion rate over all measured cells falls below `min` — the CI
 //! smoke gate proving fault injection degrades runs without ever
-//! panicking.
+//! panicking. Usage errors exit 2.
+
+use std::process::ExitCode;
 
 use commrt::{LinkCostModel, Scheme};
 use commsched::registry;
-use repro_bench::{backend_from_env, sample_count_or, write_bench_json};
+use repro_bench::cli::{self, Gate};
+use repro_bench::{case, RunConfig};
 use simnet::{MachineParams, SimError};
 use topo::TopologySpec;
 use workloads::{Generator, SampleSet};
@@ -37,10 +43,12 @@ const PROBS: [(&str, u64); 3] = [("0", 0), ("0.01", 10_000), ("0.05", 50_000)];
 /// fault set, so schedulers are compared on identical broken machines.
 const FAULT_SEED: u64 = 42;
 
-fn main() {
+fn main() -> ExitCode {
     let expect_rate = expect_completion_rate_arg();
-    let samples = sample_count_or(5);
-    let backend_kind = backend_from_env();
+    let config = RunConfig::from_env(5);
+    config.report();
+    let samples = config.samples;
+    let backend_kind = config.backend;
     let backend = backend_kind.backend();
     let params = MachineParams::ipsc860();
     let entries = registry::all();
@@ -138,31 +146,16 @@ fn main() {
 
                 let name =
                     |metric: &str| format!("faults/{spec}/{}/p{label}/{metric}", entry.name());
-                if let Some(m) = mean_ms {
-                    let (lo, hi) = min_max(&done_ms);
-                    cases.push(criterion::CaseResult {
-                        name: name("makespan"),
-                        mean_ns: m * 1e6,
-                        min_ns: lo * 1e6,
-                        max_ns: hi * 1e6,
-                    });
+                if mean_ms.is_some() {
+                    let done_ns: Vec<f64> = done_ms.iter().map(|ms| ms * 1e6).collect();
+                    cases.push(case(name("makespan"), &done_ns));
                 }
                 // Rates and ratios are dimensionless; the report's ns
                 // fields carry them verbatim (a completion case of 0.8
                 // means 80% of samples completed).
-                cases.push(criterion::CaseResult {
-                    name: name("completion"),
-                    mean_ns: rate,
-                    min_ns: rate,
-                    max_ns: rate,
-                });
+                cases.push(case(name("completion"), &[rate]));
                 if let Some(d) = degradation {
-                    cases.push(criterion::CaseResult {
-                        name: name("degradation"),
-                        mean_ns: d,
-                        min_ns: d,
-                        max_ns: d,
-                    });
+                    cases.push(case(name("degradation"), &[d]));
                 }
             }
             println!();
@@ -170,7 +163,7 @@ fn main() {
         println!();
     }
 
-    let path = write_bench_json("faults", &cases).expect("write bench json");
+    let path = criterion::write_report("faults", &cases).expect("write bench json");
     println!("wrote {}", path.display());
 
     let aggregate = total_ok as f64 / total_runs.max(1) as f64;
@@ -178,13 +171,13 @@ fn main() {
         "aggregate completion: {total_ok}/{total_runs} runs ({:.1}%)",
         aggregate * 100.0
     );
+    let mut gate = Gate::new("fig_faults");
     if let Some(min) = expect_rate {
-        if aggregate < min {
-            eprintln!("FAIL: aggregate completion rate {aggregate:.3} below required {min:.3}");
-            std::process::exit(1);
+        if gate.at_least("aggregate completion rate", aggregate, Some(min)) {
+            println!("completion gate passed (>= {min:.3})");
         }
-        println!("completion gate passed (>= {min:.3})");
     }
+    gate.finish()
 }
 
 fn mean(xs: &[f64]) -> Option<f64> {
@@ -195,44 +188,26 @@ fn mean(xs: &[f64]) -> Option<f64> {
     }
 }
 
-fn min_max(xs: &[f64]) -> (f64, f64) {
-    xs.iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &x| {
-            (lo.min(x), hi.max(x))
-        })
-}
-
 fn expect_completion_rate_arg() -> Option<f64> {
-    let mut expect = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--expect-completion-rate" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| die("--expect-completion-rate needs a value"));
-                let min: f64 = v
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("bad completion rate {v:?}")));
-                if !(0.0..=1.0).contains(&min) {
-                    die(&format!("completion rate {min} outside [0, 1]"));
-                }
-                expect = Some(min);
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: fig_faults [--expect-completion-rate <0..1>]\n\
-                     env: IPSC_BACKEND=des|analytic, REPRO_SAMPLES=<n>"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument {other:?}")),
-        }
+    let args = cli::checked_args(
+        "fig_faults",
+        &["--expect-completion-rate"],
+        &["--help", "-h"],
+    );
+    if cli::opt_flag(&args, "--help") || cli::opt_flag(&args, "-h") {
+        println!(
+            "usage: fig_faults [--expect-completion-rate <0..1>]\n\
+             env: IPSC_BACKEND=des|analytic, REPRO_SAMPLES=<n>"
+        );
+        std::process::exit(0);
     }
-    expect
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("fig_faults: {msg}");
-    std::process::exit(1)
+    let rate = cli::opt_parsed::<f64>(&args, "--expect-completion-rate")
+        .unwrap_or_else(|e| cli::usage_error("fig_faults", &e));
+    if let Some(min) = rate.filter(|min| !(0.0..=1.0).contains(min)) {
+        cli::usage_error(
+            "fig_faults",
+            &format!("completion rate {min} outside [0, 1]"),
+        );
+    }
+    rate
 }

@@ -9,12 +9,12 @@
 //! hypercubes) appear as explicit holes, not silent omissions.
 //!
 //! Run: `cargo run -p repro_bench --release --bin fig_topo`
-//! (honours `IPSC_BACKEND`, `IPSC_CACHE`, and `REPRO_SAMPLES`).
+//! (honours every [`RunConfig`] variable; 5 samples per cell by default).
 
-use commrt::grid::{CellId, ExperimentGrid, WorkloadPoint};
+use commrt::grid::{CellId, WorkloadPoint};
 use commrt::write_csv;
 use commsched::registry;
-use repro_bench::{backend_from_env, cache_config_from_env, sample_count_or, write_bench_json};
+use repro_bench::RunConfig;
 use topo::TopologySpec;
 use workloads::Generator;
 
@@ -25,14 +25,10 @@ const DENSITIES: [usize; 2] = [3, 8];
 const MSG_BYTES: u32 = 1024;
 
 fn main() {
-    let samples = sample_count_or(5);
-    let mut grid = ExperimentGrid::new()
-        .schedulers(registry::all().iter().copied())
-        .samples(samples)
-        .with_backend(backend_from_env());
-    if let Some(config) = cache_config_from_env() {
-        grid = grid.with_cache(config);
-    }
+    let config = RunConfig::from_env(5);
+    config.report();
+    let samples = config.samples;
+    let mut grid = config.grid().schedulers(registry::all().iter().copied());
     for spec in KINDS {
         let kind = TopologySpec::parse(spec).expect("pinned kind string");
         assert_eq!(
@@ -53,7 +49,9 @@ fn main() {
             900 + d as u64,
         ));
     }
-    let result = grid.execute().unwrap_or_else(|e| panic!("{e}"));
+    let result = grid
+        .execute_opts(config.exec_options())
+        .unwrap_or_else(|e| panic!("{e}"));
 
     let entries = registry::all();
     let mut records = Vec::new();
@@ -101,6 +99,6 @@ fn main() {
     );
     write_csv(std::path::Path::new("results/fig_topo.csv"), &records).expect("write csv");
     println!("wrote results/fig_topo.csv");
-    let path = write_bench_json("topo_compare", &cases).expect("write bench json");
+    let path = criterion::write_report("topo_compare", &cases).expect("write bench json");
     println!("wrote {}", path.display());
 }

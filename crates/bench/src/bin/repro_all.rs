@@ -10,7 +10,7 @@
 //! ```
 //!
 //! This wrapper shells out to the sibling binaries so each keeps its own
-//! focused output, honouring `REPRO_SAMPLES`.
+//! focused output, honouring the [`repro_bench::RunConfig`] variables.
 
 use std::process::Command;
 

@@ -52,6 +52,8 @@ use commrt::grid::paper_base_seed;
 use commrt::BackendKind;
 use commsched::{registry, Scheduler};
 use hypercube::Hypercube;
+use repro_bench::cli::{opt_flag, opt_list, opt_parsed, opt_value, reject_unknown, Gate};
+use repro_bench::{case, percentile, RunConfig};
 use schedd::{Client, Endpoint, SchemeChoice, SubmitRequest, TopologySpec};
 use workloads::{Generator, SampleSet};
 
@@ -129,72 +131,6 @@ fn main() -> ExitCode {
     })
 }
 
-/// Value of `--name` in `opts`, if present.
-fn opt_value<'a>(opts: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    let mut found = None;
-    let mut it = opts.iter();
-    while let Some(arg) = it.next() {
-        if arg == name {
-            match it.next() {
-                Some(v) => found = Some(v.as_str()),
-                None => return Err(format!("{name} expects a value")),
-            }
-        }
-    }
-    Ok(found)
-}
-
-fn opt_flag(opts: &[String], name: &str) -> bool {
-    opts.iter().any(|a| a == name)
-}
-
-/// Reject anything that is not a known flag (or a known flag's value) —
-/// a misspelled `--expect-hit` must fail loudly, not silently fall back
-/// to defaults.
-fn reject_unknown(
-    opts: &[String],
-    value_flags: &[&str],
-    bool_flags: &[&str],
-) -> Result<(), String> {
-    let mut i = 0;
-    while i < opts.len() {
-        let arg = opts[i].as_str();
-        if value_flags.contains(&arg) {
-            i += 2; // flag + its value (a missing value errors in opt_value)
-        } else if bool_flags.contains(&arg) {
-            i += 1;
-        } else {
-            return Err(format!("unknown argument `{arg}` (try `schedctl help`)"));
-        }
-    }
-    Ok(())
-}
-
-fn opt_parsed<T: std::str::FromStr>(opts: &[String], name: &str, default: T) -> Result<T, String> {
-    match opt_value(opts, name)? {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("{name}: cannot parse `{v}`")),
-    }
-}
-
-fn opt_list<T: std::str::FromStr + Clone>(
-    opts: &[String],
-    name: &str,
-    default: &[T],
-) -> Result<Vec<T>, String> {
-    match opt_value(opts, name)? {
-        None => Ok(default.to_vec()),
-        Some(v) => v
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse()
-                    .map_err(|_| format!("{name}: cannot parse `{part}`"))
-            })
-            .collect(),
-    }
-}
-
 fn store_dir(opts: &[String]) -> Result<std::path::PathBuf, String> {
     Ok(opt_value(opts, "--dir")?
         .map(Into::into)
@@ -231,21 +167,15 @@ fn warm(opts: &[String]) -> Result<ExitCode, String> {
         &["--expect-hits"],
     )?;
     let dir = store_dir(opts)?;
-    let n: usize = opt_parsed(opts, "--n", 64)?;
+    let n: usize = opt_parsed(opts, "--n")?.unwrap_or(64);
     if !n.is_power_of_two() {
         return Err(format!("--n {n} is not a power of two (hypercube size)"));
     }
     let densities: Vec<usize> = opt_list(opts, "--d", &[4, 8])?;
     let sizes: Vec<u32> = opt_list(opts, "--bytes", &[1024])?;
-    let samples: usize = opt_parsed(opts, "--samples", 3)?;
-    let shared_base: Option<u64> = match opt_value(opts, "--base-seed")? {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| format!("--base-seed: cannot parse `{v}`"))?,
-        ),
-        None => None,
-    };
-    let budget_mb: usize = opt_parsed(opts, "--budget-mb", 64)?;
+    let samples: usize = opt_parsed(opts, "--samples")?.unwrap_or(3);
+    let shared_base: Option<u64> = opt_parsed(opts, "--base-seed")?;
+    let budget_mb: usize = opt_parsed(opts, "--budget-mb")?.unwrap_or(64);
     let entries = resolve_schedulers(opt_value(opts, "--schedulers")?.unwrap_or("primary"))?;
 
     let cube = Hypercube::new(n.trailing_zeros());
@@ -316,11 +246,13 @@ fn warm(opts: &[String]) -> Result<ExitCode, String> {
         stats.store_errors,
     );
     println!("hit rate: {:.1}%", stats.hit_rate() * 100.0);
-    if opt_flag(opts, "--expect-hits") && stats.store_hits == 0 {
-        eprintln!("schedctl: --expect-hits: no request was answered by the store");
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
+    let mut gate = Gate::new("schedctl");
+    gate.at_least(
+        "--expect-hits: store hits",
+        stats.store_hits as f64,
+        opt_flag(opts, "--expect-hits").then_some(1.0),
+    );
+    Ok(gate.finish())
 }
 
 /// Decode every artifact under `dir`, returning per-entry details plus
@@ -468,7 +400,7 @@ fn request_from(opts: &[String]) -> Result<SubmitRequest, String> {
         let topology = TopologySpec::parse(spec).map_err(|e| format!("--topo: {e}"))?;
         return request_on(opts, topology);
     }
-    let n: usize = opt_parsed(opts, "--n", 16)?;
+    let n: usize = opt_parsed(opts, "--n")?.unwrap_or(16);
     if !n.is_power_of_two() {
         return Err(format!("--n {n} is not a power of two (hypercube size)"));
     }
@@ -480,9 +412,9 @@ fn request_from(opts: &[String]) -> Result<SubmitRequest, String> {
 fn request_on(opts: &[String], topology: TopologySpec) -> Result<SubmitRequest, String> {
     topology.check().map_err(|e| e.detail)?;
     let n = topology.num_nodes();
-    let d: usize = opt_parsed(opts, "--d", 4.min(n - 1))?;
-    let bytes: u32 = opt_parsed(opts, "--bytes", 1024)?;
-    let seed: u64 = opt_parsed(opts, "--seed", 0)?;
+    let d: usize = opt_parsed(opts, "--d")?.unwrap_or(4.min(n - 1));
+    let bytes: u32 = opt_parsed(opts, "--bytes")?.unwrap_or(1024);
+    let seed: u64 = opt_parsed(opts, "--seed")?.unwrap_or(0);
     let scheduler = opt_value(opts, "--scheduler")?
         .unwrap_or("RS_NL")
         .to_string();
@@ -495,11 +427,11 @@ fn request_on(opts: &[String], topology: TopologySpec) -> Result<SubmitRequest, 
     };
     let backend = match opt_value(opts, "--backend")? {
         Some(v) => BackendKind::parse(v).ok_or_else(|| format!("unknown backend `{v}`"))?,
-        None => BackendKind::from_env()?,
+        None => RunConfig::from_env(1).backend,
     };
     let cost_model = match opt_value(opts, "--costmodel")? {
         Some(v) => v.parse().map_err(|e| format!("--costmodel: {e}"))?,
-        None => schedd::LinkCostModel::from_env().map_err(|e| e.to_string())?,
+        None => RunConfig::from_env(1).cost_model,
     };
     Ok(SubmitRequest {
         request_id: 0,
@@ -574,7 +506,10 @@ fn submit(opts: &[String]) -> Result<ExitCode, String> {
 
 fn bench(opts: &[String]) -> Result<ExitCode, String> {
     reject_unknown(opts, DAEMON_FLAGS, &["--want-schedule"])?;
-    let requests: usize = opt_parsed(opts, "--requests", 200)?;
+    let requests: usize = opt_parsed(opts, "--requests")?.unwrap_or(200);
+    if requests == 0 {
+        return Err("--requests must be positive".into());
+    }
     if let Some(spec) = opt_value(opts, "--dims")? {
         return bench_dims(opts, spec, requests);
     }
@@ -591,7 +526,6 @@ fn bench(opts: &[String]) -> Result<ExitCode, String> {
     let wall = t0.elapsed().as_secs_f64();
     let after = client.stats().map_err(|e| e.to_string())?;
     latencies_us.sort_unstable();
-    let pct = |p: f64| latencies_us[((latencies_us.len() - 1) as f64 * p).round() as usize];
     let d_completed = after.completed.saturating_sub(before.completed);
     let d_compiles = after.compiles.saturating_sub(before.compiles);
     println!(
@@ -601,8 +535,8 @@ fn bench(opts: &[String]) -> Result<ExitCode, String> {
     );
     println!(
         "latency: p50 {}us p99 {}us max {}us",
-        pct(0.50),
-        pct(0.99),
+        percentile(&latencies_us, 0.50),
+        percentile(&latencies_us, 0.99),
         latencies_us.last().copied().unwrap_or(0),
     );
     println!(
@@ -636,30 +570,24 @@ fn bench_dims(opts: &[String], spec: &str, requests: usize) -> Result<ExitCode, 
     println!("daemon sweep: dims {lo}..{hi}, {requests} request(s) each");
     for dim in lo..=hi {
         let req = request_on(opts, TopologySpec::Hypercube { dims: dim })?;
-        let mut latencies_ns: Vec<u64> = Vec::with_capacity(requests);
+        let mut latencies_ns: Vec<f64> = Vec::with_capacity(requests);
         let t0 = Instant::now();
         for _ in 0..requests {
             let t = Instant::now();
             client.submit(req.clone()).map_err(|e| e.to_string())?;
-            latencies_ns.push(t.elapsed().as_nanos() as u64);
+            latencies_ns.push(t.elapsed().as_nanos() as f64);
         }
         let wall = t0.elapsed().as_secs_f64();
-        let mean = latencies_ns.iter().sum::<u64>() as f64 / latencies_ns.len().max(1) as f64;
-        let case = criterion::CaseResult {
-            name: format!("daemon/d{dim}"),
-            mean_ns: mean,
-            min_ns: latencies_ns.iter().min().copied().unwrap_or(0) as f64,
-            max_ns: latencies_ns.iter().max().copied().unwrap_or(0) as f64,
-        };
+        let case = case(format!("daemon/d{dim}"), &latencies_ns);
         println!(
             "  d={dim:<2} ({:>7} nodes): {:>8.0} req/s, mean {:>10.1} us",
             1u64 << dim,
             requests as f64 / wall.max(1e-9),
-            mean / 1e3,
+            case.mean_ns / 1e3,
         );
         cases.push(case);
     }
-    let path = repro_bench::append_bench_json("scale_sim", &cases).map_err(|e| e.to_string())?;
+    let path = criterion::append_report("scale_sim", &cases).map_err(|e| e.to_string())?;
     println!("appended {} row(s) to {}", cases.len(), path.display());
     Ok(ExitCode::SUCCESS)
 }

@@ -17,10 +17,10 @@
 //! daemon-measured patch rate alongside the dedup rate.
 //!
 //! With `--expect-rps` / `--expect-dedup-rate` / `--expect-patch-rate`
-//! the process exits non-zero when the measured numbers fall short —
-//! the CI smoke job's assertion mechanism.
+//! the process exits 1 when the measured numbers fall short (and on any
+//! server error) — the CI smoke job's assertion mechanism. Usage errors,
+//! a misspelled gate flag among them, exit 2.
 
-use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -28,6 +28,8 @@ use commcache::InstanceKey;
 use commrt::BackendKind;
 use commsched::{CommMatrix, MatrixDelta};
 use hypercube::NodeId;
+use repro_bench::cli::{opt_flag, opt_parsed, opt_value, reject_unknown, Gate};
+use repro_bench::percentile;
 use schedd::{
     Client, Endpoint, Request, Response, SchemeChoice, SubmitDeltaRequest, SubmitRequest,
     TopologySpec,
@@ -81,75 +83,56 @@ struct Opts {
     expect_patch: Option<f64>,
 }
 
-fn parse_args() -> Result<Opts, String> {
-    let mut opts = Opts {
-        addr: Endpoint::Unix("/tmp/schedd.sock".into()),
-        requests: 200_000,
-        connections: 1,
-        batch: 64,
-        unique: 16,
-        dims: 4,
-        degree: 4,
-        bytes: 1024,
-        scheduler: "RS_NL".into(),
-        backend: BackendKind::Analytic,
-        want_schedule: false,
-        perturb: 0.0,
-        json: "BENCH_schedd_load.json".into(),
-        expect_rps: None,
-        expect_dedup: None,
-        expect_patch: None,
+/// Flags that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--addr",
+    "--requests",
+    "--connections",
+    "--batch",
+    "--unique",
+    "--dims",
+    "--degree",
+    "--bytes",
+    "--scheduler",
+    "--backend",
+    "--perturb",
+    "--json",
+    "--expect-rps",
+    "--expect-dedup-rate",
+    "--expect-patch-rate",
+];
+
+fn parse_args(args: &[String]) -> Result<Opts, String> {
+    reject_unknown(args, VALUE_FLAGS, &["--want-schedule", "-h", "--help"])?;
+    if opt_flag(args, "-h") || opt_flag(args, "--help") {
+        print!("{USAGE}");
+        std::process::exit(0);
+    }
+    let addr = opt_value(args, "--addr")?.ok_or("--addr is required")?;
+    let backend = match opt_value(args, "--backend")? {
+        Some(v) => BackendKind::parse(v).ok_or(format!("unknown backend `{v}`"))?,
+        None => BackendKind::Analytic,
     };
-    let mut saw_addr = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        fn num<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String>
-        where
-            T::Err: std::fmt::Display,
-        {
-            v.parse().map_err(|e| format!("{flag}: {e}"))
-        }
-        match arg.as_str() {
-            "--addr" => {
-                opts.addr = Endpoint::parse(&value("--addr")?)?;
-                saw_addr = true;
-            }
-            "--requests" => opts.requests = num("--requests", value("--requests")?)?,
-            "--connections" => opts.connections = num("--connections", value("--connections")?)?,
-            "--batch" => opts.batch = num("--batch", value("--batch")?)?,
-            "--unique" => opts.unique = num("--unique", value("--unique")?)?,
-            "--dims" => opts.dims = num("--dims", value("--dims")?)?,
-            "--degree" => opts.degree = num("--degree", value("--degree")?)?,
-            "--bytes" => opts.bytes = num("--bytes", value("--bytes")?)?,
-            "--scheduler" => opts.scheduler = value("--scheduler")?,
-            "--backend" => {
-                let v = value("--backend")?;
-                opts.backend = BackendKind::parse(&v).ok_or(format!("unknown backend `{v}`"))?;
-            }
-            "--want-schedule" => opts.want_schedule = true,
-            "--perturb" => opts.perturb = num("--perturb", value("--perturb")?)?,
-            "--json" => opts.json = value("--json")?,
-            "--expect-rps" => opts.expect_rps = Some(num("--expect-rps", value("--expect-rps")?)?),
-            "--expect-dedup-rate" => {
-                opts.expect_dedup = Some(num("--expect-dedup-rate", value("--expect-dedup-rate")?)?)
-            }
-            "--expect-patch-rate" => {
-                opts.expect_patch = Some(num("--expect-patch-rate", value("--expect-patch-rate")?)?)
-            }
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if !saw_addr {
-        return Err("--addr is required".into());
-    }
+    let opts = Opts {
+        addr: Endpoint::parse(addr)?,
+        requests: opt_parsed(args, "--requests")?.unwrap_or(200_000),
+        connections: opt_parsed(args, "--connections")?.unwrap_or(1),
+        batch: opt_parsed(args, "--batch")?.unwrap_or(64),
+        unique: opt_parsed(args, "--unique")?.unwrap_or(16),
+        dims: opt_parsed(args, "--dims")?.unwrap_or(4),
+        degree: opt_parsed(args, "--degree")?.unwrap_or(4),
+        bytes: opt_parsed(args, "--bytes")?.unwrap_or(1024),
+        scheduler: opt_value(args, "--scheduler")?.unwrap_or("RS_NL").into(),
+        backend,
+        want_schedule: opt_flag(args, "--want-schedule"),
+        perturb: opt_parsed(args, "--perturb")?.unwrap_or(0.0),
+        json: opt_value(args, "--json")?
+            .unwrap_or("BENCH_schedd_load.json")
+            .into(),
+        expect_rps: opt_parsed(args, "--expect-rps")?,
+        expect_dedup: opt_parsed(args, "--expect-dedup-rate")?,
+        expect_patch: opt_parsed(args, "--expect-patch-rate")?,
+    };
     if opts.connections == 0 || opts.batch == 0 || opts.unique == 0 || opts.requests == 0 {
         return Err("--requests/--connections/--batch/--unique must be positive".into());
     }
@@ -266,23 +249,23 @@ fn run_connection(
     })
 }
 
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[rank]
-}
-
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match parse_args(&args) {
         Ok(opts) => opts,
         Err(msg) => {
             eprintln!("schedload: {msg}\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
+    run(&opts).unwrap_or_else(|msg| {
+        eprintln!("schedload: {msg}");
+        ExitCode::FAILURE
+    })
+}
 
+/// Replay the load, report it, and check the gates.
+fn run(opts: &Opts) -> Result<ExitCode, String> {
     // The duplicate pool: `unique` instances varying only by seed, so
     // every repeat is an exact fingerprint duplicate.
     let n = 1usize << opts.dims;
@@ -306,30 +289,18 @@ fn main() -> ExitCode {
         .collect();
 
     // Daemon counters before/after bracket exactly this run.
-    let mut control = match Client::connect(&opts.addr) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("schedload: cannot connect to {}: {e}", opts.addr);
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut control =
+        Client::connect(&opts.addr).map_err(|e| format!("cannot connect to {}: {e}", opts.addr))?;
     // Drifted requests patch against their pool instance, so seed every
     // base into the daemon first — outside the measured bracket.
     if opts.perturb > 0.0 {
         for req in &pool {
-            if let Err(e) = control.submit(req.clone()) {
-                eprintln!("schedload: seeding base instance failed: {e}");
-                return ExitCode::FAILURE;
-            }
+            control
+                .submit(req.clone())
+                .map_err(|e| format!("seeding base instance failed: {e}"))?;
         }
     }
-    let before = match control.stats() {
-        Ok(stats) => stats,
-        Err(e) => {
-            eprintln!("schedload: stats failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let before = control.stats().map_err(|e| format!("stats failed: {e}"))?;
 
     let started = Instant::now();
     let per_conn = opts.requests / opts.connections;
@@ -337,7 +308,6 @@ fn main() -> ExitCode {
     let results: Vec<Result<ConnResult, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..opts.connections)
             .map(|c| {
-                let opts = &opts;
                 let pool = &pool;
                 let count = per_conn + usize::from(c < remainder);
                 let keys = &keys;
@@ -355,27 +325,14 @@ fn main() -> ExitCode {
     let mut server_errors = 0usize;
     let mut latencies: Vec<u64> = Vec::with_capacity(opts.requests);
     for result in results {
-        match result {
-            Ok(conn) => {
-                completed += conn.completed;
-                server_errors += conn.server_errors;
-                latencies.extend(conn.latencies_us);
-            }
-            Err(msg) => {
-                eprintln!("schedload: connection failed: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let conn = result.map_err(|e| format!("connection failed: {e}"))?;
+        completed += conn.completed;
+        server_errors += conn.server_errors;
+        latencies.extend(conn.latencies_us);
     }
     latencies.sort_unstable();
 
-    let after = match control.stats() {
-        Ok(stats) => stats,
-        Err(e) => {
-            eprintln!("schedload: stats failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let after = control.stats().map_err(|e| format!("stats failed: {e}"))?;
 
     let wall_s = wall.as_secs_f64();
     let rps = completed as f64 / wall_s.max(1e-9);
@@ -441,40 +398,13 @@ fn main() -> ExitCode {
         p99,
         max,
     );
-    match std::fs::File::create(&opts.json).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("schedload: wrote {}", opts.json),
-        Err(e) => {
-            eprintln!("schedload: cannot write {}: {e}", opts.json);
-            return ExitCode::FAILURE;
-        }
-    }
+    std::fs::write(&opts.json, json).map_err(|e| format!("cannot write {}: {e}", opts.json))?;
+    println!("schedload: wrote {}", opts.json);
 
-    let mut failed = false;
-    if let Some(expect) = opts.expect_rps {
-        if rps < expect {
-            eprintln!("schedload: FAIL sustained {rps:.0} req/s < expected {expect:.0}");
-            failed = true;
-        }
-    }
-    if let Some(expect) = opts.expect_dedup {
-        if dedup_rate < expect {
-            eprintln!("schedload: FAIL dedup hit rate {dedup_rate:.3} < expected {expect:.3}");
-            failed = true;
-        }
-    }
-    if let Some(expect) = opts.expect_patch {
-        if patch_rate < expect {
-            eprintln!("schedload: FAIL patch rate {patch_rate:.3} < expected {expect:.3}");
-            failed = true;
-        }
-    }
-    if server_errors > 0 {
-        eprintln!("schedload: FAIL {server_errors} server errors");
-        failed = true;
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    let mut gate = Gate::new("schedload");
+    gate.at_least("sustained req/s", rps, opts.expect_rps);
+    gate.at_least("dedup hit rate", dedup_rate, opts.expect_dedup);
+    gate.at_least("patch rate", patch_rate, opts.expect_patch);
+    gate.at_most("server errors", server_errors as f64, Some(0.0));
+    Ok(gate.finish())
 }

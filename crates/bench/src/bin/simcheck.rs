@@ -16,65 +16,33 @@
 //! Exits non-zero on any violated invariant (CI gates on this).
 //! `REPRO_SAMPLES` is the default for `--samples`.
 
-use repro_bench::simcheck;
+use repro_bench::{cli, simcheck, RunConfig};
 
-struct Args {
-    dims: Vec<u32>,
-    samples: usize,
-    verbose: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        dims: vec![3, 4, 5],
-        samples: repro_bench::sample_count_or(2),
-        verbose: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--dims" => {
-                let v = it.next().ok_or("--dims needs a comma-separated list")?;
-                args.dims = v
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<u32>()
-                            .map_err(|_| format!("bad dimension {s:?}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if args.dims.iter().any(|&d| !(2..=10).contains(&d)) {
-                    return Err("dimensions must be in 2..=10".into());
-                }
-            }
-            "--samples" => {
-                args.samples = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v > 0)
-                    .ok_or("--samples needs a positive integer")?;
-            }
-            "--verbose" => args.verbose = true,
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(args)
-}
+const USAGE: &str = "usage: simcheck [--dims 3,4,5] [--samples N] [--verbose]";
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("simcheck: {e}");
-        eprintln!("usage: simcheck [--dims 3,4,5] [--samples N] [--verbose]");
-        std::process::exit(2);
-    });
+    let args = cli::checked_args("simcheck", &["--dims", "--samples"], &["--verbose"]);
+    let usage = |e: String| -> ! { cli::usage_error("simcheck", &format!("{e}\n{USAGE}")) };
+    let dims: Vec<u32> = cli::opt_list(&args, "--dims", &[3, 4, 5]).unwrap_or_else(|e| usage(e));
+    if dims.iter().any(|&d| !(2..=10).contains(&d)) {
+        usage("dimensions must be in 2..=10".into());
+    }
+    let mut config = RunConfig::from_env(2);
+    match cli::opt_parsed::<usize>(&args, "--samples") {
+        Ok(None) => {}
+        Ok(Some(k)) if k > 0 => config.samples = k,
+        _ => usage("--samples needs a positive integer".into()),
+    }
+    config.report();
+    let verbose = cli::opt_flag(&args, "--verbose");
 
     println!(
         "simcheck: differential backend conformance, dims={:?}, {} sample(s) per case",
-        args.dims, args.samples
+        dims, config.samples
     );
 
     // Invariant 3 first: exact agreement on contention-free schedules.
-    match simcheck::run_exact(&args.dims) {
+    match simcheck::run_exact(&dims) {
         Ok(checked) => println!("exact-agreement pinning: {checked} cases, all bit-identical"),
         Err(e) => {
             eprintln!("exact-agreement pinning FAILED: {e}");
@@ -83,8 +51,8 @@ fn main() {
     }
 
     // Invariants 1-2: tolerance bands and phase-profile tracking.
-    let report = simcheck::run_conformance(&args.dims, args.samples);
-    if args.verbose {
+    let report = simcheck::run_conformance(&dims, config.samples);
+    if verbose {
         for case in &report.cases {
             println!(
                 "  {:>12} {:<28} dim={} seed={} ratio={:.3}",

@@ -10,19 +10,23 @@
 //! result.
 //!
 //! Run: `cargo run -p repro-bench --release --bin table1`
-//! (set `REPRO_SAMPLES` to override the paper's 50 samples per cell, and
-//! `IPSC_THREADS` to pin the worker count).
+//! (honours every [`repro_bench::RunConfig`] variable; `REPRO_SAMPLES`
+//! overrides the paper's 50 samples per cell).
 
 use commrt::{write_csv, write_grid_markdown, write_json};
 use commsched::registry;
-use repro_bench::{format_density_block, paper_grid, sample_count, DENSITIES, TABLE1_SIZES};
+use repro_bench::{format_density_block, paper_grid, RunConfig, DENSITIES, TABLE1_SIZES};
 
 fn main() {
-    let samples = sample_count();
-    println!("Table 1 reproduction: 64-node iPSC/860 model, {samples} samples per cell\n");
+    let config = RunConfig::from_env(50);
+    config.report();
+    println!(
+        "Table 1 reproduction: 64-node iPSC/860 model, {} samples per cell\n",
+        config.samples
+    );
 
-    let result = paper_grid(registry::primary(), &DENSITIES, &TABLE1_SIZES, samples)
-        .execute()
+    let result = paper_grid(&config, registry::primary(), &DENSITIES, &TABLE1_SIZES)
+        .execute_opts(config.exec_options())
         .unwrap_or_else(|e| panic!("{e}"));
 
     let mut all_records = Vec::new();

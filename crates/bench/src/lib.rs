@@ -12,10 +12,18 @@
 //! [`commrt::ExperimentGrid`] ([`paper_grid`]), executes it on the
 //! work-stealing pool, and renders tables from the returned
 //! [`commrt::GridResult`].
+//!
+//! Run settings come from one place, [`RunConfig`] (the only reader of
+//! the environment); command-line flags and CI gates from one parser and
+//! one gate type, [`cli`].
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
+mod config;
 pub mod simcheck;
+
+pub use config::RunConfig;
 
 use commrt::grid::WorkloadPoint;
 use commrt::{CellRecord, ExperimentGrid};
@@ -39,90 +47,23 @@ pub fn figure_sizes() -> Vec<u32> {
     (4..=17).map(|x| 1u32 << x).collect()
 }
 
-/// Sample count: the paper uses 50; the harness accepts an override via the
-/// `REPRO_SAMPLES` environment variable to trade precision for speed.
-pub fn sample_count() -> usize {
-    sample_count_or(50)
-}
-
-/// [`sample_count`] with a caller-chosen default — the one parse of the
-/// `REPRO_SAMPLES` contract (positive integers only; anything else falls
-/// back), shared by the repro binaries, the `simcheck` harness, the
-/// benches, and the conformance suite.
-pub fn sample_count_or(default: usize) -> usize {
-    std::env::var("REPRO_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
-
-/// The repro binaries' opt-in schedule cache, from the `IPSC_CACHE`
-/// environment variable: unset/empty/`off` = no cache, `mem` = in-memory
-/// only, anything else = a persistent artifact-store directory. Caching
-/// never changes a reported number (tested below and in the grid suite) —
-/// only how often schedules are recompiled.
-pub fn cache_config_from_env() -> Option<commrt::CacheConfig> {
-    match std::env::var("IPSC_CACHE") {
-        Err(_) => None,
-        Ok(v) if v.is_empty() || v == "off" => None,
-        Ok(v) if v == "mem" => Some(commrt::CacheConfig::in_memory()),
-        Ok(dir) => Some(commrt::CacheConfig::persistent(dir)),
-    }
-}
-
-/// The repro binaries' simulation-backend selection, from the
-/// `IPSC_BACKEND` environment variable: unset/empty/`des` = the exact
-/// discrete-event engine, `analytic` = the occupancy model (estimates
-/// within the conformance suite's documented tolerances, orders of
-/// magnitude faster — `BENCH_backend_throughput.json`).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — a typo'd backend must not silently
-/// fall back to a different substrate mid-experiment.
-pub fn backend_from_env() -> commrt::BackendKind {
-    commrt::BackendKind::from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The repro binaries' link-cost-model selection, from the
-/// `IPSC_COSTMODEL` environment variable: unset/empty/`uniform` = the
-/// paper's uniform machine (byte-identical to every pre-cost-model
-/// output), otherwise a model string like `loggp:o=75000,g=10000,G=1.5`
-/// or `faulty:p=0.05,seed=42` (see [`commrt::LinkCostModel::parse`]).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — a typo'd model must not silently
-/// price a sweep on the wrong machine.
-pub fn cost_model_from_env() -> commrt::LinkCostModel {
-    commrt::LinkCostModel::from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// The paper's sweep as a declarative grid: `entries` as scheduler
 /// columns, one pre-grid-compatible [`WorkloadPoint`] per `(d, M)` pair
-/// (densities outermost), `samples` samples per cell, on the 64-node
-/// hypercube. Each binary narrows the axes to its figure and renders from
-/// the executed [`commrt::GridResult`]. Honours the `IPSC_CACHE` schedule
-/// cache opt-in ([`cache_config_from_env`]), the `IPSC_BACKEND`
-/// simulation-backend selection ([`backend_from_env`]), and the
-/// `IPSC_COSTMODEL` link-cost model ([`cost_model_from_env`]).
+/// (densities outermost), on the 64-node hypercube, starting from
+/// `config`'s grid ([`RunConfig::grid`]: samples per cell, backend,
+/// link-cost model, schedule cache). Each binary narrows the axes to its
+/// figure and renders from the executed [`commrt::GridResult`].
 pub fn paper_grid(
+    config: &RunConfig,
     entries: impl IntoIterator<Item = &'static dyn Scheduler>,
     densities: &[usize],
     sizes: &[u32],
-    samples: usize,
 ) -> ExperimentGrid {
     let n = paper_cube().num_nodes();
-    let mut grid = ExperimentGrid::new()
+    let mut grid = config
+        .grid()
         .topology("hypercube(6)", paper_cube())
-        .schedulers(entries)
-        .samples(samples)
-        .with_backend(backend_from_env())
-        .with_link_costs(cost_model_from_env());
-    if let Some(config) = cache_config_from_env() {
-        grid = grid.with_cache(config);
-    }
+        .schedulers(entries);
     for &d in densities {
         for &msg_bytes in sizes {
             // The paper's assumption 2: "all nodes send and receive an
@@ -148,53 +89,34 @@ pub fn time_case(
     reps: usize,
     mut f: impl FnMut(),
 ) -> criterion::CaseResult {
-    let mut samples = Vec::with_capacity(reps.max(1));
-    for _ in 0..reps.max(1) {
-        let t0 = std::time::Instant::now();
-        f();
-        samples.push(t0.elapsed().as_nanos() as f64);
-    }
+    let samples: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            f();
+            t0.elapsed().as_nanos() as f64
+        })
+        .collect();
+    case(name, &samples)
+}
+
+/// The [`criterion::CaseResult`] of non-empty `samples`: their mean,
+/// min and max (one sample records a scalar, e.g. a rate).
+pub fn case(name: impl Into<String>, samples: &[f64]) -> criterion::CaseResult {
     criterion::CaseResult {
         name: name.into(),
         mean_ns: samples.iter().sum::<f64>() / samples.len() as f64,
         min_ns: samples.iter().copied().fold(f64::INFINITY, f64::min),
-        max_ns: samples.iter().copied().fold(0.0f64, f64::max),
+        max_ns: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
     }
 }
 
-/// Write `BENCH_<group>.json` in the one shared measurement format —
-/// delegated to the vendored criterion shim's quiet writer (same path
-/// resolution, sanitization, merge, and JSON shape as the bench targets;
-/// no stdout, because the repro binaries pin theirs byte-for-byte).
-///
-/// # Errors
-///
-/// I/O errors from the filesystem.
-pub fn write_bench_json(
-    group: &str,
-    cases: &[criterion::CaseResult],
-) -> std::io::Result<std::path::PathBuf> {
-    criterion::write_report_quiet(group, cases)
-}
-
-/// Append `cases` to `BENCH_<group>.json` across *processes*: existing
-/// cases survive, except that a new case replaces any old one with the
-/// same name (re-running a sweep must update its rows, not duplicate
-/// them). This is how `schedctl bench --dims` adds its `daemon/d{dim}`
-/// rows to the `BENCH_scale_sim.json` the scale bench wrote earlier —
-/// the shim's own writer truncates on a process's first write.
-///
-/// # Errors
-///
-/// I/O errors from the filesystem.
-pub fn append_bench_json(
-    group: &str,
-    cases: &[criterion::CaseResult],
-) -> std::io::Result<std::path::PathBuf> {
-    let mut merged = criterion::read_report(group);
-    merged.retain(|old| !cases.iter().any(|new| new.name == old.name));
-    merged.extend(cases.iter().cloned());
-    criterion::rewrite_report(group, &merged)
+/// The `p`-quantile (`0..=1`, nearest rank) of ascending `sorted`
+/// samples; 0 for an empty slice.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
 }
 
 /// Render a Table-1-style block for one density. The column set is taken
@@ -282,13 +204,15 @@ mod tests {
     #[test]
     fn paper_grid_numbers_survive_the_schedule_cache() {
         // The repro binaries must be byte-identical with IPSC_CACHE set or
-        // unset; the env var is process-global, so exercise the same code
-        // path (with_cache) directly.
-        let plain = paper_grid(registry::primary(), &[4], &[1024], 2)
+        // unset.
+        let plain = paper_grid(&samples(2), registry::primary(), &[4], &[1024])
             .execute()
             .unwrap();
-        let cached = paper_grid(registry::primary(), &[4], &[1024], 2)
-            .with_cache(commrt::CacheConfig::in_memory())
+        let config = RunConfig {
+            cache: Some(commrt::CacheConfig::in_memory()),
+            ..samples(2)
+        };
+        let cached = paper_grid(&config, registry::primary(), &[4], &[1024])
             .execute()
             .unwrap();
         assert_eq!(
@@ -301,7 +225,7 @@ mod tests {
     fn bench_json_has_the_shim_shape() {
         let case = time_case("noop", 2, || {});
         assert!(case.min_ns <= case.mean_ns && case.mean_ns <= case.max_ns);
-        let path = write_bench_json("libtest_selftest", &[case]).unwrap();
+        let path = criterion::write_report("libtest_selftest", &[case]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.trim_start().starts_with('['));
         assert!(text.contains("\"name\": \"noop\""));
@@ -309,32 +233,15 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn append_bench_json_replaces_by_name_and_keeps_the_rest() {
-        let case = |name: &str, mean: f64| criterion::CaseResult {
-            name: name.to_string(),
-            mean_ns: mean,
-            min_ns: mean,
-            max_ns: mean,
-        };
-        let group = "libtest_append_selftest";
-        let path = write_bench_json(group, &[case("scale/a", 1.0)]).unwrap();
-        // Cross-process-style append: keeps scale/a, adds daemon rows.
-        append_bench_json(group, &[case("daemon/d4", 2.0)]).unwrap();
-        // Re-running a sweep replaces its rows instead of duplicating.
-        append_bench_json(group, &[case("daemon/d4", 3.0), case("daemon/d5", 4.0)]).unwrap();
-        let back = criterion::read_report(group);
-        let names: Vec<&str> = back.iter().map(|c| c.name.as_str()).collect();
-        assert_eq!(names, ["scale/a", "daemon/d4", "daemon/d5"]);
-        assert_eq!(back[1].mean_ns, 3.0);
-        std::fs::remove_file(path).ok();
+    /// The empty-environment configuration at `k` samples per cell.
+    fn samples(k: usize) -> RunConfig {
+        RunConfig::from_vars(k, |_| None).unwrap()
     }
 
-    /// One measured paper-machine cell: `entry` at `(d, 1 KB)` under the
-    /// environment's backend and cost-model selection.
-    fn paper_cell(name: &str, d: usize, samples: usize) -> commrt::CellResult {
+    /// One measured paper-machine cell: `entry` at `(d, 1 KB)`.
+    fn paper_cell(name: &str, d: usize, k: usize) -> commrt::CellResult {
         let entry = registry::find(name).unwrap();
-        paper_grid([entry], &[d], &[1024], samples)
+        paper_grid(&samples(k), [entry], &[d], &[1024])
             .execute()
             .unwrap()
             .at(0, 0)
@@ -359,7 +266,7 @@ mod tests {
 
     #[test]
     fn density_block_grows_with_the_registry() {
-        let records = paper_grid(registry::primary(), &[4], &[256], 1)
+        let records = paper_grid(&samples(1), registry::primary(), &[4], &[256])
             .execute()
             .unwrap()
             .records("t");

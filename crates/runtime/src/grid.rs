@@ -344,8 +344,9 @@ impl fmt::Debug for CellSpec {
 /// change the [`GridResult`] — that is tested, not hoped.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecOptions {
-    /// Worker-thread override (`None` = [`ExperimentGrid::threads`],
-    /// which honours `IPSC_THREADS`).
+    /// Worker threads (`None` = the host's available parallelism). The
+    /// only home of the thread count: the repro binaries set it from
+    /// `IPSC_THREADS`. Never changes a result.
     pub threads: Option<usize>,
     /// Disable the `(workload point, seed)` matrix cache, regenerating
     /// every sample per cell — only useful for measuring what reuse buys.
@@ -463,20 +464,6 @@ impl std::error::Error for GridError {
     }
 }
 
-/// Worker-thread default: the `IPSC_THREADS` environment variable when set
-/// to a positive integer (reproducible thread control on shared CI
-/// machines), otherwise the host's available parallelism.
-///
-/// Thread count never changes *results* — cell outputs are deterministic
-/// by construction — only wall-clock time and scheduling noise.
-fn default_threads() -> usize {
-    std::env::var("IPSC_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&t: &usize| t > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, usize::from))
-}
-
 /// The declarative grid builder and the one cell executor. Declare axes,
 /// then [`execute`].
 ///
@@ -512,8 +499,6 @@ pub struct ExperimentGrid {
     backend: BackendKind,
     /// Link-cost model of every column that pins none.
     link_costs: LinkCostModel,
-    /// Worker threads when [`ExecOptions::threads`] is unset.
-    threads: usize,
     /// Opt-in schedule cache; `None` compiles every schedule from scratch.
     schedule_cache: Option<Arc<SchedCache>>,
 }
@@ -528,7 +513,6 @@ impl ExperimentGrid {
     /// An empty grid on the paper's machine calibration
     /// ([`MachineParams::ipsc860`]) under the exact event engine and the
     /// uniform link-cost model, with no schedule cache, 1 sample per cell.
-    /// Worker threads honour the `IPSC_THREADS` environment override.
     pub fn new() -> Self {
         ExperimentGrid {
             columns: Vec::new(),
@@ -538,7 +522,6 @@ impl ExperimentGrid {
             params: MachineParams::ipsc860(),
             backend: BackendKind::Des,
             link_costs: LinkCostModel::Uniform,
-            threads: default_threads(),
             schedule_cache: None,
         }
     }
@@ -554,7 +537,7 @@ impl ExperimentGrid {
     /// own ([`GridColumn::with_backend`]). [`BackendKind::Des`] (the
     /// default) is exact; [`BackendKind::Analytic`] trades documented
     /// tolerance (see `tests/backend_conformance.rs`) for orders of
-    /// magnitude more cells per second. The repro binaries wire this to
+    /// magnitude more cells per second. The repro binaries set it from
     /// the `IPSC_BACKEND` environment variable.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
@@ -565,7 +548,7 @@ impl ExperimentGrid {
     /// own ([`GridColumn::with_cost_model`]). [`LinkCostModel::Uniform`]
     /// (the default) is byte-identical to the historical pricing; see
     /// [`LinkCostModel::parse`] for the preset grammar. The repro binaries
-    /// wire this to the `IPSC_COSTMODEL` environment variable.
+    /// set it from the `IPSC_COSTMODEL` environment variable.
     pub fn with_link_costs(mut self, link_costs: LinkCostModel) -> Self {
         self.link_costs = link_costs;
         self
@@ -595,13 +578,6 @@ impl ExperimentGrid {
     /// snapshot reports hit rates after an execution).
     pub fn schedule_cache(&self) -> Option<&SchedCache> {
         self.schedule_cache.as_deref()
-    }
-
-    /// Worker threads an execution uses when [`ExecOptions::threads`] is
-    /// unset: `IPSC_THREADS` when it is a positive integer, otherwise the
-    /// host's available parallelism.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Samples aggregated per cell.
@@ -734,7 +710,9 @@ impl ExperimentGrid {
         }
         let cache = MatrixCache::default();
         let reuse = !opts.no_matrix_reuse;
-        let threads = opts.threads.unwrap_or(self.threads);
+        let threads = opts
+            .threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, usize::from));
         let outcomes: Vec<Result<SampleOutcome, SimError>> =
             executor::run_work_stealing(threads, &order, |t| {
                 let spec = &specs[t / self.samples];

@@ -29,9 +29,10 @@
 //! * [`net`] / [`server`] / [`client`] — sockets, the threaded daemon
 //!   shell, and the blocking (pipelining-capable) client.
 //!
-//! Binaries: `schedd` (the daemon), `schedload` (duplicate-heavy load
-//! generator writing `BENCH_schedd_load.json`); `schedctl` (in
-//! `repro_bench`) gains `submit`/`bench`/`stats`/`shutdown` verbs.
+//! Binary: `schedd` (the daemon). Its clients live in `repro_bench`:
+//! `schedload` (duplicate-heavy load generator writing
+//! `BENCH_schedd_load.json`) and `schedctl`'s
+//! `submit`/`bench`/`stats`/`shutdown` verbs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

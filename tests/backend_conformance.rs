@@ -18,7 +18,7 @@ use simnet::MachineParams;
 use workloads::Generator;
 
 fn samples() -> usize {
-    repro_bench::sample_count_or(2)
+    repro_bench::RunConfig::from_env(2).samples
 }
 
 #[test]

@@ -7,14 +7,19 @@ use commrt::grid::ExecOptions;
 use commrt::{write_grid_json, write_grid_markdown, ExperimentGrid, WorkloadPoint};
 use commsched::registry;
 use hypercube::Hypercube;
-use repro_bench::paper_grid;
+use repro_bench::{paper_grid, RunConfig};
 use workloads::Generator;
+
+/// The empty-environment run configuration at `k` samples per cell.
+fn samples(k: usize) -> RunConfig {
+    RunConfig::from_vars(k, |_| None).unwrap()
+}
 
 #[test]
 fn paper_sweep_is_deterministic_across_workers_and_task_orders() {
     // The acceptance bar of the grid refactor: identical GridResult with
     // 1 worker, N workers, and an adversarially shuffled task order.
-    let grid = paper_grid(registry::primary(), &[4, 8], &[256, 4096], 3);
+    let grid = paper_grid(&samples(3), registry::primary(), &[4, 8], &[256, 4096]);
     let reference = grid
         .execute_opts(ExecOptions {
             threads: Some(1),
@@ -101,17 +106,17 @@ fn schedule_cache_changes_cost_never_results() {
         std::process::id()
     ));
     std::fs::remove_dir_all(&dir).ok();
-    let reference = paper_grid(registry::primary(), &[4, 8], &[256, 4096], 2)
+    let reference = paper_grid(&samples(2), registry::primary(), &[4, 8], &[256, 4096])
         .execute()
         .unwrap();
-    let in_memory = paper_grid(registry::primary(), &[4, 8], &[256, 4096], 2)
+    let in_memory = paper_grid(&samples(2), registry::primary(), &[4, 8], &[256, 4096])
         .with_cache(commrt::CacheConfig::in_memory())
         .execute()
         .unwrap();
     assert_eq!(reference.records("cache"), in_memory.records("cache"));
     let mut warm_stats = None;
     for run in 0..2 {
-        let grid = paper_grid(registry::primary(), &[4, 8], &[256, 4096], 2)
+        let grid = paper_grid(&samples(2), registry::primary(), &[4, 8], &[256, 4096])
             .with_cache(commrt::CacheConfig::persistent(&dir));
         let persistent = grid.execute().unwrap();
         assert_eq!(
@@ -130,7 +135,7 @@ fn schedule_cache_changes_cost_never_results() {
 
 #[test]
 fn grid_reports_render_every_cell() {
-    let result = paper_grid(registry::primary(), &[4], &[1024], 2)
+    let result = paper_grid(&samples(2), registry::primary(), &[4], &[1024])
         .execute()
         .unwrap();
     let dir = std::env::temp_dir().join("ipsc_sched_grid_pipeline_reports");
@@ -151,7 +156,7 @@ fn grid_reports_render_every_cell() {
 fn records_match_the_csv_row_order_of_the_binaries() {
     // The repro binaries rely on stable cell order (points outermost,
     // columns innermost) to keep their CSV artifacts byte-identical.
-    let result = paper_grid(registry::primary(), &[4, 8], &[256, 1024], 1)
+    let result = paper_grid(&samples(1), registry::primary(), &[4, 8], &[256, 1024])
         .execute()
         .unwrap();
     let records = result.records("order");
